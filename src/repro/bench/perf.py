@@ -27,7 +27,11 @@ noise of the recorded wall clock.  The matrix spans the system's layers:
   :class:`~repro.host.daemon.SubmitFeed` injecting out-of-band work (the
   :mod:`repro.host` tick path + obs sink fanout the control plane rides).
 
-:func:`run_scenario` profiles ``repeats`` fresh runs and returns the
+Serving and fleet scenarios run through the same builders as the CLI: each
+config dict becomes an :class:`~repro.serve.config.EngineConfig` or
+:class:`~repro.fleet.config.FleetConfig` (``kind`` picks the runner,
+``kills`` is the fleet's ``kill_shard_at``), so three runners cover the
+matrix.  :func:`run_scenario` profiles ``repeats`` fresh runs and returns the
 element-wise median artifact (:func:`~repro.obs.trajectory.median_of`), the
 noise-aware point a :class:`~repro.obs.trajectory.PerfTrajectory` appends.
 """
@@ -140,7 +144,7 @@ SCENARIOS: dict[str, dict] = {
 }
 
 
-def _run_simulate(config: dict, profiler: PerfProfiler) -> None:
+def _simulate(config: dict, profiler: PerfProfiler) -> None:
     from repro.bench.workloads import heap_workload
     from repro.core import ColorMapping
     from repro.memory import ParallelMemorySystem
@@ -156,175 +160,66 @@ def _run_simulate(config: dict, profiler: PerfProfiler) -> None:
     profiler.count("requests", len(trace))
 
 
-def _build_engine(config: dict, profiler: PerfProfiler, recorder=None):
-    from repro.core import ColorMapping
-    from repro.memory import ParallelMemorySystem, parse_faults
-    from repro.memory.faults import FaultSchedule
-    from repro.serve import PoissonClient, ServeEngine, TemplateMix
-    from repro.serve.clients import spawn_seeds
-    from repro.trees import CompleteBinaryTree
-
-    tree = CompleteBinaryTree(config["levels"])
-    mapping = ColorMapping.for_modules(tree, config["modules"])
-    pms = ParallelMemorySystem(mapping, profiler=profiler, recorder=recorder)
-    if config.get("faults"):
-        faults = parse_faults(config["faults"])
-        if not isinstance(faults, FaultSchedule):
-            faults = FaultSchedule.from_model(faults)
-        pms.attach_faults(faults)
-    engine = ServeEngine(
-        pms,
-        policy=config["policy"],
-        repair=config.get("repair", "none"),
-        retry_timeout=config.get("retry_timeout"),
-        profiler=profiler,
-    )
-    mix = TemplateMix.parse(tree, config["workload"])
-    per_client = config["arrival_rate"] / config["clients"]
-    seeds = spawn_seeds(config["seed"], config["clients"])
-    clients = [
-        PoissonClient(i, mix, per_client, seed=seeds[i])
-        for i in range(config["clients"])
-    ]
-    return engine, clients
-
-
-def _run_serve(config: dict, profiler: PerfProfiler) -> None:
-    engine, clients = _build_engine(config, profiler)
-    engine.run(clients, max_cycles=config["cycles"])
-
-
-def _run_serve_checkpoint(config: dict, profiler: PerfProfiler) -> None:
-    from repro.serve import DurableServer
-
-    engine, clients = _build_engine(config, profiler)
-    with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
-        server = DurableServer(
-            engine,
-            clients,
-            state_dir,
-            checkpoint_every=config["checkpoint_every"],
-        )
-        server.serve(config["cycles"])
-
-
-def _run_daemon(config: dict, profiler: PerfProfiler) -> None:
-    from repro.host.daemon import SubmitFeed
+def _serve(config: dict, profiler: PerfProfiler) -> None:
     from repro.obs import EventRecorder
-    from repro.serve import DurableServer
-    from repro.serve.clients import spawn_seeds
+    from repro.serve import DurableServer, EngineConfig
 
-    recorder = EventRecorder(capacity=config["events_capacity"])
-    engine, clients = _build_engine(config, profiler, recorder=recorder)
-    # the submit feed rides index N, exactly as the daemon wires it, and
-    # injects a deterministic burst of out-of-band work up front
-    seeds = spawn_seeds(config["seed"], config["clients"] + 1)
-    feed = SubmitFeed(
-        config["clients"],
-        engine.system.mapping.tree,
-        seed=seeds[config["clients"]],
-    )
-    for kind, size in (("subtree", 15), ("path", 11), ("composite", 24)):
-        feed.submit(kind, size, count=4)
-    clients.append(feed)
+    fields = {key: value for key, value in config.items() if key != "kind"}
+    recorder = None
+    if config["kind"] == "daemon":
+        # the daemon's hosting stack: an always-on ring-buffer recorder
+        # streaming to a live sink, plus the /submit feed
+        recorder = EventRecorder(capacity=config["events_capacity"])
+        fields["daemon"] = True
+    serve = EngineConfig(**fields)
+    engine, clients, recorder = serve.build(profiler=profiler, recorder=recorder)
+    if serve.daemon:
+        # a deterministic burst of out-of-band work, injected up front
+        for kind, size in (("subtree", 15), ("path", 11), ("composite", 24)):
+            clients[-1].submit(kind, size, count=4)
+    if "checkpoint_every" not in config:
+        engine.run(clients, max_cycles=serve.cycles)
+        return
     with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
-        stream = recorder.stream_to(f"{state_dir}/events.jsonl")
+        stream = None
+        if recorder is not None:
+            stream = recorder.stream_to(f"{state_dir}/events.jsonl")
         server = DurableServer(
-            engine,
-            clients,
-            state_dir,
-            checkpoint_every=config["checkpoint_every"],
+            engine, clients, state_dir, checkpoint_every=serve.checkpoint_every
         )
-        server.serve(config["cycles"])
-        stream.close()
+        server.serve(serve.cycles)
+        if stream is not None:
+            stream.close()
 
 
-def _run_fleet(config: dict, profiler: PerfProfiler) -> None:
-    from repro.core import ColorMapping
-    from repro.fleet import FleetCoordinator, heavy_tailed_tenants
-    from repro.memory import ParallelMemorySystem
-    from repro.serve import ServeEngine
-    from repro.trees import CompleteBinaryTree
+def _fleet(config: dict, profiler: PerfProfiler) -> None:
+    from repro.fleet import FleetConfig
 
-    shards = []
-    for _ in range(config["shards"]):
-        tree = CompleteBinaryTree(config["levels"])
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-        # one shared profiler: spans from every shard engine roll up into
-        # a single fleet-wide profile (start/stop are idempotent/tolerant)
-        shards.append(
-            ServeEngine(
-                ParallelMemorySystem(mapping, profiler=profiler),
-                policy=config["policy"],
-                profiler=profiler,
-            )
-        )
-    population = heavy_tailed_tenants(
-        CompleteBinaryTree(config["levels"]),
-        config["tenants"],
-        config["workload"],
-        config["arrival_rate"],
-        seed=config["seed"],
-    )
-    coordinator = FleetCoordinator(shards, router=config["router"])
-    report = coordinator.run(population.clients, max_cycles=config["cycles"])
-    profiler.count("requests", report.routed)
-
-
-def _run_fleet_restart(config: dict, profiler: PerfProfiler) -> None:
-    from repro.core import ColorMapping
-    from repro.fleet import (
-        FleetCoordinator,
-        FleetSupervisor,
-        heavy_tailed_tenants,
-    )
-    from repro.memory import ParallelMemorySystem
-    from repro.serve import ServeEngine
-    from repro.trees import CompleteBinaryTree
-
-    def factory(shard: int) -> ServeEngine:
-        tree = CompleteBinaryTree(config["levels"])
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-        # same shared-profiler roll-up as the fleet scenario, and the
-        # supervisor reuses the factory for restarted shards
-        return ServeEngine(
-            ParallelMemorySystem(mapping, profiler=profiler),
-            policy=config["policy"],
-            profiler=profiler,
-        )
-
-    shards = [factory(i) for i in range(config["shards"])]
-    population = heavy_tailed_tenants(
-        CompleteBinaryTree(config["levels"]),
-        config["tenants"],
-        config["workload"],
-        config["arrival_rate"],
-        seed=config["seed"],
-    )
-    coordinator = FleetCoordinator(
-        shards,
-        router=config["router"],
-        kills=config["kills"].split(","),
-    )
-    with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
-        supervisor = FleetSupervisor(
-            coordinator,
-            factory=factory,
-            state_dir=state_dir,
-            checkpoint_every=config["checkpoint_every"],
-            restart_after=config["restart_after"],
-        )
-        report = supervisor.serve(population.clients, config["cycles"])
+    fields = {
+        key: value for key, value in config.items() if key not in ("kind", "kills")
+    }
+    if "kills" in config:
+        fields["kill_shard_at"] = config["kills"].split(",")
+    fleet = FleetConfig(**fields)
+    # one shared profiler: spans from every shard engine, restarted ones
+    # included, roll up into a single fleet-wide profile
+    coordinator, population, _, factory = fleet.build(profiler=profiler)
+    if fleet.restart_after is None:
+        report = coordinator.run(population.clients, max_cycles=fleet.cycles)
+    else:
+        with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
+            supervisor = fleet.supervise(coordinator, factory, state_dir=state_dir)
+            report = supervisor.serve(population.clients, fleet.cycles)
     profiler.count("requests", report.routed)
 
 
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "serve": _run_serve,
-    "serve_checkpoint": _run_serve_checkpoint,
-    "daemon": _run_daemon,
-    "fleet": _run_fleet,
-    "fleet_restart": _run_fleet_restart,
+    "simulate": _simulate,
+    "serve": _serve,
+    "serve_checkpoint": _serve,
+    "daemon": _serve,
+    "fleet": _fleet,
+    "fleet_restart": _fleet,
 }
 
 

@@ -34,14 +34,17 @@ CLI under ``python -m repro.bench``):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-
+from pathlib import Path
 
 from repro.analysis import family_cost, load_report, render_coloring
 from repro.core import ColorMapping, LabelTreeMapping, ModuloMapping, RandomMapping
 from repro.core.mapping import TreeMapping
+from repro.fleet.config import FleetConfig
 from repro.io import load_mapping, save_mapping
 from repro.memory import AccessTrace, ParallelMemorySystem
+from repro.serve.config import EngineConfig, resolve_faults
 from repro.templates import LTemplate, PTemplate, STemplate
 from repro.trees import CompleteBinaryTree
 
@@ -167,22 +170,6 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _resolve_faults(spec: str):
-    """Turn a ``--faults`` value into a FaultModel or FaultSchedule.
-
-    ``@path.json`` loads a spec saved by :func:`repro.io.save_faults`;
-    anything else goes through :func:`repro.memory.faults.parse_faults`
-    (static terms like ``slow=3:2,failed=5`` give a FaultModel, timed terms
-    like ``fail=3@50:400`` give a FaultSchedule).
-    """
-    from repro.io import load_faults
-    from repro.memory import parse_faults
-
-    if spec.startswith("@"):
-        return load_faults(spec[1:])
-    return parse_faults(spec)
-
-
 def cmd_simulate(args) -> int:
     from repro.memory import FaultSchedule, apply_faults
     from repro.obs import EventRecorder
@@ -190,7 +177,7 @@ def cmd_simulate(args) -> int:
     mapping = load_mapping(args.mapping)
     trace = AccessTrace.load(args.trace)
     recorder = EventRecorder() if getattr(args, "obs", None) else None
-    faults = _resolve_faults(args.faults) if getattr(args, "faults", None) else None
+    faults = resolve_faults(args.faults) if getattr(args, "faults", None) else None
     if isinstance(faults, FaultSchedule):
         pms = ParallelMemorySystem(mapping, recorder=recorder)
         pms.attach_faults(faults)
@@ -218,118 +205,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-#: args that fully determine a serving setup; persisted to the state dir's
-#: config.json so ``pmtree recover`` can rebuild the exact engine + clients
-_SERVE_CONFIG_KEYS = (
-    "levels",
-    "modules",
-    "mapping",
-    "policy",
-    "traffic",
-    "arrival_rate",
-    "clients",
-    "cycles",
-    "workload",
-    "queue_capacity",
-    "admission",
-    "batch_components",
-    "deadline",
-    "think_time",
-    "seed",
-    "obs",
-    "faults",
-    "repair",
-    "retry_timeout",
-    "max_retries",
-    "backoff_base",
-    "backoff_cap",
-    "checkpoint_every",
-    "events_capacity",
-)
+def _config_from_args(cls, args, **extra):
+    """The :class:`EngineConfig` / :class:`FleetConfig` the parsed flags
+    name; a field with no flag on this command keeps its default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **extra)
 
 
-def _serve_config(args) -> dict:
-    return {key: getattr(args, key, None) for key in _SERVE_CONFIG_KEYS}
-
-
-def _build_engine(config: dict):
-    """Build ``(engine, clients, recorder)`` from a serve config dict.
-
-    Deliberately a pure function of the config: calling it twice yields two
-    identically configured setups, which is exactly what crash recovery
-    needs to restart "the process".  Shared by ``pmtree serve``, ``pmtree
-    recover`` and ``pmtree daemon`` — a daemon config (``daemon: true``)
-    additionally gets a :class:`~repro.host.daemon.SubmitFeed` appended
-    after the traffic clients, on its own derived seed, so HTTP-submitted
-    work is part of the same deterministic, recoverable client set."""
-    from repro.memory import FaultSchedule
-    from repro.obs import EventRecorder
-    from repro.serve import (
-        BurstyClient,
-        ClosedLoopClient,
-        PoissonClient,
-        ServeEngine,
-        TemplateMix,
-        spawn_seeds,
-    )
-
-    if config["mapping"]:
-        mapping = load_mapping(config["mapping"])
-        tree = mapping.tree
-    else:
-        tree = CompleteBinaryTree(config["levels"])
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-    mix = TemplateMix.parse(tree, config["workload"])
-    recorder = (
-        EventRecorder(capacity=config.get("events_capacity"))
-        if config["obs"]
-        else None
-    )
-    pms = ParallelMemorySystem(mapping, recorder=recorder)
-    if config["faults"]:
-        faults = _resolve_faults(config["faults"])
-        if not isinstance(faults, FaultSchedule):
-            # serving is cycle-driven: lift a static model to open windows
-            faults = FaultSchedule.from_model(faults)
-        pms.attach_faults(faults)
-    engine = ServeEngine(
-        pms,
-        policy=config["policy"],
-        queue_capacity=config["queue_capacity"],
-        admission=config["admission"],
-        max_batch_components=config["batch_components"],
-        deadline=config["deadline"],
-        retry_timeout=config["retry_timeout"],
-        max_retries=config["max_retries"],
-        backoff_base=config["backoff_base"],
-        backoff_cap=config["backoff_cap"],
-        repair=config["repair"],
-    )
-    per_client = config["arrival_rate"] / config["clients"]
-    num_clients = config["clients"]
-    # the feed's seed rides index N so the traffic clients' seeds 0..N-1
-    # are exactly what a plain serve run draws (spawn_seeds is sequential)
-    seeds = spawn_seeds(config["seed"], num_clients + 1)
-    clients = []
-    for i in range(num_clients):
-        if config["traffic"] == "poisson":
-            clients.append(PoissonClient(i, mix, per_client, seed=seeds[i]))
-        elif config["traffic"] == "bursty":
-            clients.append(BurstyClient(i, mix, per_client, seed=seeds[i]))
-        else:
-            clients.append(
-                ClosedLoopClient(
-                    i,
-                    mix,
-                    think_time=config["think_time"],
-                    seed=seeds[i],
-                )
-            )
-    if config.get("daemon"):
-        from repro.host.daemon import SubmitFeed
-
-        clients.append(SubmitFeed(num_clients, tree, seed=seeds[num_clients]))
-    return engine, clients, recorder
+def _load_config(cls, state_dir: Path, started_with: str):
+    """Read a state dir's ``config.json``; a malformed one is a one-line
+    error (exit 2), not a traceback."""
+    path = state_dir / "config.json"
+    if not path.exists():
+        raise SystemExit(
+            f"{state_dir} has no config.json — was this run started with "
+            f"'{started_with}'?"
+        )
+    try:
+        return cls.from_json(path.read_text(), source=str(path))
+    except ValueError as exc:
+        print(f"pmtree recover: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _finish_serve(report, recorder, obs_path) -> int:
@@ -342,23 +238,19 @@ def _finish_serve(report, recorder, obs_path) -> int:
 
 
 def cmd_serve(args) -> int:
-    import json as _json
-
-    config = _serve_config(args)
-    engine, clients, recorder = _build_engine(config)
+    config = _config_from_args(EngineConfig, args)
+    engine, clients, recorder = config.build()
     if not args.state_dir:
         if args.crash_at is not None:
             raise SystemExit("--crash-at requires --state-dir")
-        report = engine.run(clients, max_cycles=args.cycles)
-        return _finish_serve(report, recorder, args.obs)
-
-    from pathlib import Path
+        report = engine.run(clients, max_cycles=config.cycles)
+        return _finish_serve(report, recorder, config.obs)
 
     from repro.serve import CrashPlan, DurableServer, SimulatedCrash
 
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
-    (state_dir / "config.json").write_text(_json.dumps(config, indent=2) + "\n")
+    (state_dir / "config.json").write_text(config.to_json())
     crash_plan = (
         CrashPlan(at_cycle=args.crash_at, mode=args.crash_mode)
         if args.crash_at is not None
@@ -368,11 +260,11 @@ def cmd_serve(args) -> int:
         engine,
         clients,
         state_dir,
-        checkpoint_every=args.checkpoint_every,
+        checkpoint_every=config.checkpoint_every,
         crash_plan=crash_plan,
     )
     try:
-        report = server.serve(args.cycles)
+        report = server.serve(config.cycles)
     except SimulatedCrash as crash:
         print(f"crashed: {crash}")
         print(f"state dir {state_dir} holds the journal and snapshots;")
@@ -382,46 +274,23 @@ def cmd_serve(args) -> int:
         f"durable run: {server.checkpoints_written} checkpoints, "
         f"overhead {server.checkpoint_overhead:.1%} of wall time"
     )
-    return _finish_serve(report, recorder, args.obs)
+    return _finish_serve(report, recorder, config.obs)
 
 
 def _recover_fleet(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from repro.fleet import FleetSupervisor
-
     state_dir = Path(args.fleet)
-    config_path = state_dir / "config.json"
-    if not config_path.exists():
-        raise SystemExit(
-            f"{state_dir} has no config.json — was this run started with "
-            f"'pmtree fleet --shard-state-dir'?"
-        )
-    config = _json.loads(config_path.read_text())
-    coordinator, population, recorder, factory = _build_fleet(config)
-    budget = config.get("restart_budget")
-    supervisor = FleetSupervisor(
-        coordinator,
-        factory=factory,
-        state_dir=state_dir,
-        checkpoint_every=config.get("checkpoint_every") or 100,
-        restart_after=config.get("restart_after"),
-        restart_budget=3 if budget is None else budget,
-    )
+    config = _load_config(FleetConfig, state_dir, "pmtree fleet --shard-state-dir")
+    coordinator, population, recorder, factory = config.build()
+    supervisor = config.supervise(coordinator, factory, state_dir=state_dir)
     report = supervisor.recover(population.clients)
     print(
         f"recovered fleet from cycle boundary in {state_dir}; "
         f"health {report.health}"
     )
-    obs_path = args.obs or config.get("obs")
-    return _finish_fleet(report, recorder, obs_path)
+    return _finish_fleet(report, recorder, args.obs or config.obs)
 
 
 def cmd_recover(args) -> int:
-    import json as _json
-    from pathlib import Path
-
     from repro.serve import DurableServer
 
     if bool(args.state_dir) == bool(args.fleet):
@@ -432,33 +301,21 @@ def cmd_recover(args) -> int:
     if args.fleet:
         return _recover_fleet(args)
     state_dir = Path(args.state_dir)
-    config_path = state_dir / "config.json"
-    if not config_path.exists():
-        raise SystemExit(
-            f"{state_dir} has no config.json — was this run started with "
-            f"'pmtree serve --state-dir'?"
-        )
-    config = _json.loads(config_path.read_text())
-    engine, clients, recorder = _build_engine(config)
+    config = _load_config(EngineConfig, state_dir, "pmtree serve --state-dir")
+    engine, clients, recorder = config.build()
     server = DurableServer(
-        engine,
-        clients,
-        state_dir,
-        checkpoint_every=config.get("checkpoint_every") or 100,
+        engine, clients, state_dir, checkpoint_every=config.checkpoint_every
     )
     report = server.recover()
     print(
         f"recovered: replayed {server.replayed_records} journal records, "
         f"{server.checkpoints_written} new checkpoints"
     )
-    obs_path = args.obs or config.get("obs")
-    return _finish_serve(report, recorder, obs_path)
+    return _finish_serve(report, recorder, args.obs or config.obs)
 
 
 def cmd_daemon(args) -> int:
     import asyncio
-    import json as _json
-    from pathlib import Path
 
     from repro.host.daemon import ServeDaemon
     from repro.serve import DurableServer
@@ -467,26 +324,25 @@ def cmd_daemon(args) -> int:
     state_dir.mkdir(parents=True, exist_ok=True)
     if not args.obs:
         args.obs = str(state_dir / "telemetry.jsonl")
-    config = _serve_config(args)
-    config["daemon"] = True
-    engine, clients, recorder = _build_engine(config)
+    config = _config_from_args(EngineConfig, args, daemon=True)
+    engine, clients, recorder = config.build()
     config_path = state_dir / "config.json"
-    config_path.write_text(_json.dumps(config, indent=2) + "\n")
+    config_path.write_text(config.to_json())
     server = DurableServer(
-        engine, clients, state_dir, checkpoint_every=args.checkpoint_every
+        engine, clients, state_dir, checkpoint_every=config.checkpoint_every
     )
     daemon = ServeDaemon(
         server,
-        clients[-1],  # the SubmitFeed _build_engine appended
+        clients[-1],  # the SubmitFeed a daemon config appends
         config=config,
         config_path=config_path,
         host=args.host,
         port=args.port,
-        max_cycles=args.cycles,
+        max_cycles=config.cycles,
         tick_interval=args.tick_interval,
         cycles_per_tick=args.cycles_per_tick,
     )
-    stream = recorder.stream_to(args.obs) if recorder is not None else None
+    stream = recorder.stream_to(config.obs) if recorder is not None else None
     try:
         report = asyncio.run(daemon.run())
     finally:
@@ -496,109 +352,9 @@ def cmd_daemon(args) -> int:
     if recorder is not None:
         print(
             f"streamed telemetry ({len(recorder.events)} buffered, "
-            f"{recorder.evicted} evicted) to {args.obs}"
+            f"{recorder.evicted} evicted) to {config.obs}"
         )
     return 0
-
-
-#: args that fully determine a fleet setup; persisted to the fleet state
-#: dir's config.json so ``pmtree recover --fleet`` can rebuild the exact
-#: coordinator + tenant population + replacement-engine factory
-_FLEET_CONFIG_KEYS = (
-    "shards",
-    "router",
-    "levels",
-    "modules",
-    "policy",
-    "cycles",
-    "arrival_rate",
-    "workload",
-    "tenants",
-    "tenant_alpha",
-    "quota",
-    "gold_every",
-    "gold_deadline",
-    "gold_weight",
-    "kill_shard_at",
-    "queue_capacity",
-    "admission",
-    "batch_components",
-    "seed",
-    "faults",
-    "repair",
-    "retry_timeout",
-    "max_retries",
-    "obs",
-    "restart_after",
-    "restart_budget",
-    "checkpoint_every",
-)
-
-
-def _fleet_config(args) -> dict:
-    return {key: getattr(args, key, None) for key in _FLEET_CONFIG_KEYS}
-
-
-def _build_fleet(config: dict):
-    """Build ``(coordinator, population, recorder, factory)`` from a fleet
-    config dict.
-
-    Like :func:`_build_engine`, deliberately a pure function of the config:
-    ``factory(shard)`` rebuilds shard ``shard``'s engine (mapping, policy,
-    per-shard fault schedule) from scratch, which is what both a restart
-    after shard death and a whole-fleet recovery need."""
-    from repro.fleet import FleetCoordinator, SLOClass, heavy_tailed_tenants
-    from repro.memory import FaultSchedule, per_shard_schedules
-    from repro.obs import EventRecorder
-    from repro.serve import ServeEngine
-
-    tree = CompleteBinaryTree(config["levels"])
-
-    def factory(shard: int) -> ServeEngine:
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-        pms = ParallelMemorySystem(mapping)
-        if config["faults"]:
-            schedule = _resolve_faults(config["faults"])
-            if not isinstance(schedule, FaultSchedule):
-                schedule = FaultSchedule.from_model(schedule)
-            pms.attach_faults(
-                per_shard_schedules(schedule, config["shards"])[shard]
-            )
-        return ServeEngine(
-            pms,
-            policy=config["policy"],
-            queue_capacity=config["queue_capacity"],
-            admission=config["admission"],
-            max_batch_components=config["batch_components"],
-            retry_timeout=config["retry_timeout"],
-            max_retries=config["max_retries"],
-            repair=config["repair"],
-        )
-
-    shards = [factory(shard) for shard in range(config["shards"])]
-    gold = SLOClass(
-        "gold", deadline=config["gold_deadline"], weight=config["gold_weight"]
-    )
-    population = heavy_tailed_tenants(
-        tree,
-        config["tenants"],
-        config["workload"],
-        config["arrival_rate"],
-        seed=config["seed"],
-        alpha=config["tenant_alpha"],
-        quota=config["quota"],
-        gold_every=config["gold_every"],
-        gold=gold,
-    )
-    recorder = EventRecorder() if config["obs"] else None
-    coordinator = FleetCoordinator(
-        shards,
-        router=config["router"],
-        directory=population.directory,
-        recorder=recorder,
-        kills=config["kill_shard_at"] or (),
-    )
-    return coordinator, population, recorder, factory
 
 
 def _finish_fleet(report, recorder, obs_path) -> int:
@@ -611,20 +367,15 @@ def _finish_fleet(report, recorder, obs_path) -> int:
 
 
 def cmd_fleet(args) -> int:
-    import json as _json
-
-    config = _fleet_config(args)
-    coordinator, population, recorder, factory = _build_fleet(config)
-    supervised = args.shard_state_dir or args.restart_after is not None
+    config = _config_from_args(FleetConfig, args)
+    coordinator, population, recorder, factory = config.build()
+    supervised = args.shard_state_dir or config.restart_after is not None
     if not supervised:
         if args.crash_at is not None:
             raise SystemExit("--crash-at requires --shard-state-dir")
-        report = coordinator.run(population.clients, args.cycles)
-        return _finish_fleet(report, recorder, args.obs)
+        report = coordinator.run(population.clients, config.cycles)
+        return _finish_fleet(report, recorder, config.obs)
 
-    from pathlib import Path
-
-    from repro.fleet import FleetSupervisor
     from repro.serve import SimulatedCrash
 
     state_dir = Path(args.shard_state_dir) if args.shard_state_dir else None
@@ -632,20 +383,12 @@ def cmd_fleet(args) -> int:
         raise SystemExit("--crash-at requires --shard-state-dir")
     if state_dir is not None:
         state_dir.mkdir(parents=True, exist_ok=True)
-        (state_dir / "config.json").write_text(
-            _json.dumps(config, indent=2) + "\n"
-        )
-    supervisor = FleetSupervisor(
-        coordinator,
-        factory=factory,
-        state_dir=state_dir,
-        checkpoint_every=args.checkpoint_every,
-        restart_after=args.restart_after,
-        restart_budget=args.restart_budget,
-        crash_at=args.crash_at,
+        (state_dir / "config.json").write_text(config.to_json())
+    supervisor = config.supervise(
+        coordinator, factory, state_dir=state_dir, crash_at=args.crash_at
     )
     try:
-        report = supervisor.serve(population.clients, args.cycles)
+        report = supervisor.serve(population.clients, config.cycles)
     except SimulatedCrash as crash:
         print(f"crashed: {crash}")
         print(
@@ -654,7 +397,7 @@ def cmd_fleet(args) -> int:
         )
         print(f"resume with: pmtree recover --fleet {state_dir}")
         return 9
-    return _finish_fleet(report, recorder, args.obs)
+    return _finish_fleet(report, recorder, config.obs)
 
 
 def cmd_obs_record(args) -> int:
@@ -685,8 +428,6 @@ def cmd_obs_diff(args) -> int:
 
 
 def cmd_perf_record(args) -> int:
-    from pathlib import Path
-
     from repro.bench.perf import SCENARIOS, run_scenario
     from repro.obs.trajectory import PerfTrajectory
 
@@ -773,8 +514,6 @@ def cmd_perf_diff(args) -> int:
 
 
 def cmd_perf_expose(args) -> int:
-    from pathlib import Path
-
     from repro.obs.metrics import MetricsRegistry
 
     path = Path(args.source)
@@ -809,11 +548,16 @@ def cmd_obs_export(args) -> int:
 
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     """The serve-engine configuration flags shared by ``serve`` and
-    ``daemon`` (everything :data:`_SERVE_CONFIG_KEYS` persists except the
-    per-command extras like ``--state-dir`` and ``--events-capacity``)."""
-    parser.add_argument("--levels", type=int, default=11, help="tree levels H")
+    ``daemon``: every :class:`EngineConfig` field except the per-command
+    ``--checkpoint-every`` / ``--events-capacity``, defaults read from it."""
     parser.add_argument(
-        "--modules", type=int, default=15, help="memory modules M (COLOR mapping)"
+        "--levels", type=int, default=EngineConfig.levels, help="tree levels H"
+    )
+    parser.add_argument(
+        "--modules",
+        type=int,
+        default=EngineConfig.modules,
+        help="memory modules M (COLOR mapping)",
     )
     parser.add_argument(
         "--mapping", help="mapping .npz (overrides --levels/--modules)"
@@ -821,42 +565,55 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy",
         choices=["fifo", "greedy-pack", "load-aware"],
-        default="greedy-pack",
+        default=EngineConfig.policy,
     )
     parser.add_argument(
         "--traffic",
         choices=["poisson", "bursty", "closed-loop"],
-        default="poisson",
+        default=EngineConfig.traffic,
     )
     parser.add_argument(
         "--arrival-rate",
         type=float,
-        default=0.2,
+        default=EngineConfig.arrival_rate,
         help="total open-loop arrivals per cycle across all clients",
     )
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--cycles", type=int, default=2000, help="arrival window")
+    parser.add_argument("--clients", type=int, default=EngineConfig.clients)
+    parser.add_argument(
+        "--cycles", type=int, default=EngineConfig.cycles, help="arrival window"
+    )
     parser.add_argument(
         "--workload",
-        default="subtree:15=1,path:11=1,level:7=1",
+        default=EngineConfig.workload,
         help="template mix, kind:size=weight terms (composite:SIZExC=weight)",
     )
     parser.add_argument(
-        "--queue-capacity", type=int, default=256, help="admission bound in items"
+        "--queue-capacity",
+        type=int,
+        default=EngineConfig.queue_capacity,
+        help="admission bound in items",
     )
     parser.add_argument(
-        "--admission", choices=["block", "shed", "degrade"], default="block"
+        "--admission",
+        choices=["block", "shed", "degrade"],
+        default=EngineConfig.admission,
     )
     parser.add_argument(
-        "--batch-components", type=int, default=4, help="the paper's c"
+        "--batch-components",
+        type=int,
+        default=EngineConfig.batch_components,
+        help="the paper's c",
     )
     parser.add_argument(
         "--deadline", type=int, default=None, help="per-request deadline in cycles"
     )
     parser.add_argument(
-        "--think-time", type=int, default=0, help="closed-loop think time"
+        "--think-time",
+        type=int,
+        default=EngineConfig.think_time,
+        help="closed-loop think time",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=EngineConfig.seed)
     parser.add_argument(
         "--obs", metavar="PATH", help="record cycle-level telemetry to a .jsonl artifact"
     )
@@ -869,7 +626,7 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--repair",
         choices=["none", "oblivious", "color"],
-        default="none",
+        default=EngineConfig.repair,
         help="remap dead modules' nodes while they are down",
     )
     parser.add_argument(
@@ -879,13 +636,22 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         help="cycles before an in-flight batch is aborted and retried",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=3, help="retries before degrading"
+        "--max-retries",
+        type=int,
+        default=EngineConfig.max_retries,
+        help="retries before degrading",
     )
     parser.add_argument(
-        "--backoff-base", type=int, default=8, help="initial retry backoff (cycles)"
+        "--backoff-base",
+        type=int,
+        default=EngineConfig.backoff_base,
+        help="initial retry backoff (cycles)",
     )
     parser.add_argument(
-        "--backoff-cap", type=int, default=128, help="max retry backoff (cycles)"
+        "--backoff-cap",
+        type=int,
+        default=EngineConfig.backoff_cap,
+        help="max retry backoff (cycles)",
     )
 
 
@@ -971,7 +737,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--checkpoint-every",
         type=int,
-        default=100,
+        default=EngineConfig.checkpoint_every,
         help="cycles between checkpoints (with --state-dir)",
     )
     serve.add_argument(
@@ -1004,7 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
     daemon.add_argument(
         "--checkpoint-every",
         type=int,
-        default=100,
+        default=EngineConfig.checkpoint_every,
         help="cycles between checkpoints",
     )
     daemon.add_argument(
@@ -1062,41 +828,41 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a multi-tenant stream across N engine shards with "
         "routing, quotas and shard-loss failover",
     )
-    fleet.add_argument("--shards", type=int, default=4, help="engine shards N")
+    fleet.add_argument("--shards", type=int, default=FleetConfig.shards, help="engine shards N")
     fleet.add_argument(
         "--router",
         choices=["round-robin", "least-loaded", "affinity"],
-        default="affinity",
+        default=FleetConfig.router,
         help="request placement strategy",
     )
-    fleet.add_argument("--levels", type=int, default=10, help="tree levels H")
+    fleet.add_argument("--levels", type=int, default=FleetConfig.levels, help="tree levels H")
     fleet.add_argument(
-        "--modules", type=int, default=15, help="modules M per shard (COLOR)"
+        "--modules", type=int, default=FleetConfig.modules, help="modules M per shard (COLOR)"
     )
     fleet.add_argument(
         "--policy",
         choices=["fifo", "greedy-pack", "load-aware"],
-        default="greedy-pack",
+        default=FleetConfig.policy,
     )
-    fleet.add_argument("--cycles", type=int, default=800, help="arrival window")
+    fleet.add_argument("--cycles", type=int, default=FleetConfig.cycles, help="arrival window")
     fleet.add_argument(
         "--arrival-rate",
         type=float,
-        default=1.2,
+        default=FleetConfig.arrival_rate,
         help="total arrivals per cycle across the whole tenant population",
     )
     fleet.add_argument(
         "--workload",
-        default="subtree:15=1,path:9=1,level:7=1",
+        default=FleetConfig.workload,
         help="template families cycled across tenants (kind:size=weight terms)",
     )
     fleet.add_argument(
-        "--tenants", type=int, default=8, help="tenant population size"
+        "--tenants", type=int, default=FleetConfig.tenants, help="tenant population size"
     )
     fleet.add_argument(
         "--tenant-alpha",
         type=float,
-        default=1.2,
+        default=FleetConfig.tenant_alpha,
         help="Zipf exponent for the heavy-tailed tenant rate split",
     )
     fleet.add_argument(
@@ -1108,19 +874,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--gold-every",
         type=int,
-        default=0,
+        default=FleetConfig.gold_every,
         help="promote every k-th tenant to the gold SLO class (0 = none)",
     )
     fleet.add_argument(
         "--gold-deadline",
         type=int,
-        default=96,
+        default=FleetConfig.gold_deadline,
         help="gold-class completion deadline in cycles",
     )
     fleet.add_argument(
         "--gold-weight",
         type=float,
-        default=4.0,
+        default=FleetConfig.gold_weight,
         help="gold-class admission weight (bronze is 1)",
     )
     fleet.add_argument(
@@ -1130,15 +896,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="kill a shard mid-run (repeatable; bare CYCLE kills shard 0)",
     )
     fleet.add_argument(
-        "--queue-capacity", type=int, default=256, help="per-shard admission bound"
+        "--queue-capacity",
+        type=int,
+        default=FleetConfig.queue_capacity,
+        help="per-shard admission bound",
     )
     fleet.add_argument(
-        "--admission", choices=["block", "shed", "degrade"], default="block"
+        "--admission",
+        choices=["block", "shed", "degrade"],
+        default=FleetConfig.admission,
     )
     fleet.add_argument(
-        "--batch-components", type=int, default=4, help="the paper's c"
+        "--batch-components",
+        type=int,
+        default=FleetConfig.batch_components,
+        help="the paper's c",
     )
-    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument("--seed", type=int, default=FleetConfig.seed)
     fleet.add_argument(
         "--faults",
         metavar="SPEC",
@@ -1148,7 +922,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--repair",
         choices=["none", "oblivious", "color"],
-        default="none",
+        default=FleetConfig.repair,
         help="per-shard repair mode for dead modules",
     )
     fleet.add_argument(
@@ -1158,7 +932,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-shard batch abort threshold in cycles",
     )
     fleet.add_argument(
-        "--max-retries", type=int, default=3, help="retries before degrading"
+        "--max-retries",
+        type=int,
+        default=FleetConfig.max_retries,
+        help="retries before degrading",
     )
     fleet.add_argument(
         "--obs", metavar="PATH", help="record fleet routing telemetry to .jsonl"
@@ -1173,7 +950,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--restart-budget",
         type=int,
-        default=3,
+        default=FleetConfig.restart_budget,
         help="max restart attempts per shard (capped exponential backoff)",
     )
     fleet.add_argument(
@@ -1185,7 +962,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--checkpoint-every",
         type=int,
-        default=100,
+        default=FleetConfig.checkpoint_every,
         help="fleet cycles between checkpoints (with --shard-state-dir)",
     )
     fleet.add_argument(

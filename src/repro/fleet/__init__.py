@@ -17,6 +17,8 @@ failover ledger so nothing executes twice, and a fleet-level snapshot for
 deterministic whole-fleet crash recovery.  Results merge into a
 :class:`FleetReport` (:mod:`repro.fleet.report`): exactly-once fleet
 counters plus the per-shard :class:`~repro.serve.slo.ServeReport` detail.
+:class:`FleetConfig` (:mod:`repro.fleet.config`) holds a whole fleet run as
+data and builds it.
 
 CLI: ``pmtree fleet --shards 4 --router affinity --tenants 12 --quota 8
 --kill-shard-at 2@400 --restart-after 120 --shard-state-dir state ...``;
@@ -24,6 +26,7 @@ experiment E21 pins the scaling, affinity and failover claims, E22 the
 kill/restart soak (exactly-once, deterministic recovery, restart goodput).
 """
 
+from repro.fleet.config import FleetConfig
 from repro.fleet.coordinator import (
     HEALTH_STATES,
     FleetCoordinator,
@@ -60,6 +63,7 @@ __all__ = [
     "HEALTH_STATES",
     "ROUTERS",
     "AffinityRouter",
+    "FleetConfig",
     "FleetCoordinator",
     "FleetReport",
     "FleetSupervisor",

@@ -166,15 +166,6 @@ class FleetSupervisor:
         )
 
     @property
-    def _last_checkpoint(self) -> int:
-        """Checkpoint-cadence state; lives on the driver."""
-        return self.driver.last_checkpoint
-
-    @_last_checkpoint.setter
-    def _last_checkpoint(self, cycle: int) -> None:
-        self.driver.last_checkpoint = cycle
-
-    @property
     def cycle(self) -> int:
         """The fleet's clock (delegates to the coordinator)."""
         return self.coordinator._cycle
@@ -232,15 +223,12 @@ class FleetSupervisor:
         self._attempts = {}
         self._pending = {}
         self._deaths_seen = 0
-        self._last_checkpoint = -1
+        self.driver.last_checkpoint = -1
         if self.stores is not None:
             for shard, engine in enumerate(coord.shards):
                 journal = self.stores[shard].create_journal()
                 journal.profiler = engine.profiler
                 engine.journal = journal
-
-    # back-compat spelling from before the supervisor was a Steppable
-    _start = start
 
     def recover(self, clients: list[Client]) -> FleetReport:
         """Resume a crashed fleet run from ``state_dir`` and drive it home.
@@ -335,7 +323,7 @@ class FleetSupervisor:
                 journal.seek_replay(snap.seqno)
                 journal.profiler = engine.profiler
                 engine.journal = journal
-        coord.restore_state(fleet_state, clients)
+        coord.load_state(fleet_state, clients)
         sup = payload.get("supervisor", {})
         self._attempts = {
             int(s): int(n) for s, n in sup.get("attempts", {}).items()
@@ -344,7 +332,7 @@ class FleetSupervisor:
             int(s): int(c) for s, c in sup.get("pending", {}).items()
         }
         self._deaths_seen = int(sup.get("deaths_seen", len(coord._dead)))
-        self._last_checkpoint = cycle
+        self.driver.last_checkpoint = cycle
 
     # -- the supervised loop ---------------------------------------------------
 

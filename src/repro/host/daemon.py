@@ -48,6 +48,7 @@ exactly-once from the shutdown cycle.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import signal
 from collections import deque
@@ -58,6 +59,7 @@ import numpy as np
 from repro.obs.sinks import EventSink
 from repro.serve.batching import make_policy
 from repro.serve.clients import Client, _elementary_family
+from repro.serve.config import EngineConfig
 from repro.serve.durability import (
     DurableServer,
     instance_from_json,
@@ -217,9 +219,9 @@ class ServeDaemon:
     feed:
         The :class:`SubmitFeed` among the server's clients (``/submit``).
     config / config_path:
-        The serve config dict and its on-disk ``config.json`` — rewritten
-        whenever ``/policy`` mutates a knob, so recovery rebuilds the
-        mutated engine.
+        The run's :class:`~repro.serve.config.EngineConfig` and its on-disk
+        ``config.json`` — both replaced whenever ``/policy`` mutates a knob,
+        so recovery rebuilds the mutated engine.
     max_cycles:
         Arrival horizon handed to ``begin_serve`` (the daemon still exits
         earlier on SIGTERM).
@@ -233,7 +235,7 @@ class ServeDaemon:
         server: DurableServer,
         feed: SubmitFeed,
         *,
-        config: dict,
+        config: EngineConfig,
         config_path: str | Path,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -482,23 +484,19 @@ class ServeDaemon:
                 max_components=engine.policy.max_components,
                 bound_k=getattr(engine.system.mapping, "k", None),
             )
-            self.config["policy"] = name
             applied["policy"] = name
         if "deadline" in payload:
             deadline = payload["deadline"]
             engine.deadline = None if deadline is None else int(deadline)
-            self.config["deadline"] = engine.deadline
             applied["deadline"] = engine.deadline
         if "retry_timeout" in payload:
             timeout = payload["retry_timeout"]
             if timeout is not None and int(timeout) < 1:
                 raise ValueError(f"retry_timeout must be >= 1, got {timeout}")
             engine.retry_timeout = None if timeout is None else int(timeout)
-            self.config["retry_timeout"] = engine.retry_timeout
             applied["retry_timeout"] = engine.retry_timeout
-        self.config_path.write_text(
-            json.dumps(self.config, indent=2) + "\n"
-        )
+        self.config = dataclasses.replace(self.config, **applied)
+        self.config_path.write_text(self.config.to_json())
         if engine.active:
             self.server._write_checkpoint()
         return applied

@@ -216,7 +216,7 @@ class FaultSchedule:
         """The drop-lottery generator, created lazily from ``seed``.
 
         The schedule — not the attached system — owns the lottery, so its
-        position travels with the schedule through :meth:`runtime_state` /
+        position travels with the schedule through :meth:`state_dict` /
         :func:`repro.io.save_faults` and a restored schedule resumes its
         drop sequence exactly where it left off.
         """
@@ -229,12 +229,12 @@ class FaultSchedule:
         self.cursor = 0
         self._rng = np.random.default_rng(self.seed)
 
-    def runtime_state(self) -> dict:
+    def state_dict(self) -> dict:
         """JSON-serializable advancement state (cursor + lottery position)."""
         return {"cursor": self.cursor, "rng": self.rng.bit_generator.state}
 
-    def restore_runtime(self, state: dict) -> None:
-        """Resume from a :meth:`runtime_state` capture."""
+    def load_state(self, state: dict) -> None:
+        """Resume from a :meth:`state_dict` capture."""
         cursor = int(state["cursor"])
         num_edges = len(self.transitions())
         if not 0 <= cursor <= num_edges:
@@ -350,7 +350,7 @@ class FaultSchedule:
             "type": "fault_schedule",
             "seed": self.seed,
             "windows": [w.to_json() for w in self.windows],
-            "runtime": self.runtime_state(),
+            "runtime": self.state_dict(),
         }
 
     @classmethod
@@ -363,7 +363,7 @@ class FaultSchedule:
         )
         runtime = payload.get("runtime")
         if runtime is not None:
-            schedule.restore_runtime(runtime)
+            schedule.load_state(runtime)
         return schedule
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -49,15 +49,6 @@ class MemoryModule:
             self.base_latency = self.latency
         self._port_free = [0] * self.ports
 
-    # compatibility shim: single-port code paths read/write busy_until
-    @property
-    def busy_until(self) -> int:
-        return min(self._port_free)
-
-    @busy_until.setter
-    def busy_until(self, value: int) -> None:
-        self._port_free = [value] * self.ports
-
     def set_base_latency(self, latency: int) -> None:
         """Install a *permanent* per-service latency (fault override).
 

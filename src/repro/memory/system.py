@@ -105,7 +105,7 @@ class ParallelMemorySystem:
 
         A schedule whose :attr:`~repro.memory.faults.FaultSchedule.cursor`
         has already advanced (restored via :func:`repro.io.load_faults` or
-        :meth:`~repro.memory.faults.FaultSchedule.restore_runtime`) resumes
+        :meth:`~repro.memory.faults.FaultSchedule.load_state`) resumes
         mid-window: the effects of the already-applied transitions are
         installed silently (no telemetry — those events were emitted by the
         original run) and stepping continues from the cursor.
@@ -321,7 +321,7 @@ class ParallelMemorySystem:
         colors = self.mapping.colors_of(nodes)
         counts = np.bincount(colors, minlength=self.num_modules)
         for mod in self.modules:
-            mod.busy_until = 0  # each barrier access starts a fresh clock
+            mod.reset_clock()  # each barrier access starts a fresh clock
         rec = self.recorder
         if rec.enabled:
             self._access_index += 1
@@ -544,12 +544,12 @@ class ParallelMemorySystem:
 
     # -- checkpoint / restore ----------------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def state_dict(self) -> dict:
         """Full JSON-serializable runtime state (see :mod:`repro.serve.durability`).
 
         Captures the lifetime ``clock``, per-module queues and port clocks,
         fault-schedule advancement, and the drop-lottery RNG position — i.e.
-        everything :meth:`reset` would wipe — so :meth:`restore_state` can
+        everything :meth:`reset` would wipe — so :meth:`load_state` can
         resume the array mid-run with fault windows still firing at the same
         absolute cycles.
         """
@@ -577,14 +577,14 @@ class ParallelMemorySystem:
                 for mod in self.modules
             ],
             "faults": (
-                self._fault_schedule.runtime_state()
+                self._fault_schedule.state_dict()
                 if self._fault_schedule is not None
                 else None
             ),
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Resume from a :meth:`snapshot_state` capture.
+    def load_state(self, state: dict) -> None:
+        """Resume from a :meth:`state_dict` capture.
 
         Unlike :meth:`reset`, restore preserves *absolute* time: the
         lifetime ``clock``, each module's port clocks (``_port_free``) and
@@ -624,7 +624,7 @@ class ParallelMemorySystem:
                     "snapshot carries fault-schedule state but no schedule "
                     "is attached; attach_faults() the same schedule first"
                 )
-            self._fault_schedule.restore_runtime(fault_state)
+            self._fault_schedule.load_state(fault_state)
             self._fault_idx = self._fault_schedule.cursor
             self._drop_rng = self._fault_schedule.rng
 

@@ -24,7 +24,10 @@ conflicts under COLOR) turned into an online batching engine:
   :class:`ServeJournal` write-ahead log, and a crash harness
   (:class:`CrashPlan` / :class:`DurableServer` /
   :func:`run_with_recovery`) that proves recovery is deterministic and
-  exactly-once.
+  exactly-once;
+* :mod:`repro.serve.config` — :class:`EngineConfig`, a whole serving run as
+  a frozen dataclass whose JSON form is a state dir's ``config.json``, and
+  its one builder.
 
 CLI: ``pmtree serve --levels 11 --modules 15 --policy greedy-pack ...``
 (add ``--state-dir/--checkpoint-every`` for durable runs, then
@@ -51,6 +54,7 @@ from repro.serve.clients import (
     TraceClient,
     spawn_seeds,
 )
+from repro.serve.config import EngineConfig
 from repro.serve.durability import (
     CONTROL_EVENTS,
     CrashPlan,
@@ -83,6 +87,7 @@ __all__ = [
     "CrashPlan",
     "DurabilityError",
     "DurableServer",
+    "EngineConfig",
     "EngineSnapshot",
     "FifoPolicy",
     "GreedyPackPolicy",

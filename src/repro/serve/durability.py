@@ -63,7 +63,7 @@ from repro.serve.batching import Batch, _elementary_components
 from repro.serve.clients import Client
 from repro.serve.engine import ServeEngine
 from repro.serve.request import Request
-from repro.serve.slo import WALL_CLOCK_FIELDS, ServeReport, SLOTracker
+from repro.serve.slo import WALL_CLOCK_FIELDS, ServeReport
 from repro.templates.base import TemplateInstance
 from repro.templates.composite import CompositeInstance, make_composite
 
@@ -133,11 +133,11 @@ class SimulatedCrash(RuntimeError):
 # -- instance / request serialization -----------------------------------------
 
 
-def _instance_to_json(instance: TemplateInstance) -> dict:
+def instance_to_json(instance: TemplateInstance) -> dict:
     if isinstance(instance, CompositeInstance):
         return {
             "kind": "composite",
-            "components": [_instance_to_json(c) for c in instance.components],
+            "components": [instance_to_json(c) for c in instance.components],
         }
     return {
         "kind": instance.kind,
@@ -146,10 +146,10 @@ def _instance_to_json(instance: TemplateInstance) -> dict:
     }
 
 
-def _instance_from_json(payload: dict) -> TemplateInstance:
+def instance_from_json(payload: dict) -> TemplateInstance:
     if payload["kind"] == "composite":
         return make_composite(
-            [_instance_from_json(c) for c in payload["components"]]
+            [instance_from_json(c) for c in payload["components"]]
         )
     return TemplateInstance(
         kind=payload["kind"],
@@ -158,12 +158,12 @@ def _instance_from_json(payload: dict) -> TemplateInstance:
     )
 
 
-def _request_to_json(request: Request) -> dict:
+def request_to_json(request: Request) -> dict:
     return {
         "id": request.request_id,
         "client": request.client_id,
         "tenant": request.tenant,
-        "instance": _instance_to_json(request.instance),
+        "instance": instance_to_json(request.instance),
         "arrival": request.arrival_cycle,
         "deadline": request.deadline,
         "admit": request.admit_cycle,
@@ -176,14 +176,14 @@ def _request_to_json(request: Request) -> dict:
     }
 
 
-def _request_from_json(payload: dict) -> Request:
+def request_from_json(payload: dict) -> Request:
     return Request(
         request_id=int(payload["id"]),
         client_id=int(payload["client"]),
         # snapshots from before multi-tenancy have no tenant: None makes the
         # rebuilt request default it from the client id, as the engine would
         tenant=payload.get("tenant"),
-        instance=_instance_from_json(payload["instance"]),
+        instance=instance_from_json(payload["instance"]),
         arrival_cycle=int(payload["arrival"]),
         deadline=None if payload["deadline"] is None else int(payload["deadline"]),
         admit_cycle=int(payload["admit"]),
@@ -194,14 +194,6 @@ def _request_from_json(payload: dict) -> Request:
         timeouts=int(payload["timeouts"]),
         retry_at=int(payload["retry_at"]),
     )
-
-
-# public aliases: the fleet layer (shard feeds, fleet snapshots) serializes
-# instances/requests with the exact scheme engine snapshots use
-instance_to_json = _instance_to_json
-instance_from_json = _instance_from_json
-request_to_json = _request_to_json
-request_from_json = _request_from_json
 
 
 # -- engine snapshot -----------------------------------------------------------
@@ -264,7 +256,7 @@ class EngineSnapshot:
             "failed_now": sorted(engine._failed_now),
             "repair_keys": [sorted(key) for key in engine._repair_cache],
             "requests": {
-                str(rid): _request_to_json(req) for rid, req in requests.items()
+                str(rid): request_to_json(req) for rid, req in requests.items()
             },
             "inflight": sorted(engine._requests),
             "queue": {
@@ -285,7 +277,7 @@ class EngineSnapshot:
                 },
             },
             "tracker": engine.tracker.state_dict(),
-            "system": engine.system.snapshot_state(),
+            "system": engine.system.state_dict(),
             "clients": {
                 str(client.client_id): client.state_dict()
                 for client in engine._clients
@@ -337,7 +329,7 @@ class EngineSnapshot:
                 f"snapshot's {sorted(snap_clients)}"
             )
         registry = {
-            int(rid): _request_from_json(payload)
+            int(rid): request_from_json(payload)
             for rid, payload in state["requests"].items()
         }
         engine._next_id = int(state["next_id"])
@@ -368,8 +360,8 @@ class EngineSnapshot:
         engine._remaining = {
             int(rid): int(n) for rid, n in run["remaining"].items()
         }
-        engine.tracker = SLOTracker.from_state(state["tracker"])
-        engine.system.restore_state(state["system"])
+        engine.tracker.load_state(state["tracker"])
+        engine.system.load_state(state["system"])
         # rebuild the repair cache (deterministic per failed set) in its
         # snapshotted LRU order, then bind the effective dispatch mapping
         engine._repair_cache.clear()
@@ -728,15 +720,6 @@ class DurableServer:
         )
 
     @property
-    def _last_checkpoint(self) -> int:
-        """Checkpoint-cadence state; lives on the driver."""
-        return self.driver.last_checkpoint
-
-    @_last_checkpoint.setter
-    def _last_checkpoint(self, cycle: int) -> None:
-        self.driver.last_checkpoint = cycle
-
-    @property
     def journal_path(self) -> Path:
         return self.store.journal_path
 
@@ -828,7 +811,7 @@ class DurableServer:
             engine.restore(snapshot, self.clients)
             self.journal.seek_replay(snapshot.seqno)
             engine.journal = self.journal
-            self._last_checkpoint = snapshot.cycle
+            self.driver.last_checkpoint = snapshot.cycle
             restored_from = snapshot.cycle
         rec = engine.system.recorder
         if rec.enabled:
@@ -902,7 +885,7 @@ class DurableServer:
         self.store.write_snapshot(engine)
         self.checkpoint_seconds += time.perf_counter() - started
         self.checkpoints_written += 1
-        self._last_checkpoint = engine._cycle
+        self.driver.last_checkpoint = engine._cycle
 
     def _crash(self, plan: CrashPlan) -> None:
         engine = self.engine

@@ -185,7 +185,7 @@ class SLOTracker:
     batch_conflicts: list = field(default_factory=list)
     batch_rounds: list = field(default_factory=list)
     #: per-tenant lifecycle buckets keyed by tenant label; absent from
-    #: snapshots written before multi-tenancy existed (``from_state`` then
+    #: snapshots written before multi-tenancy existed (``load_state`` then
     #: falls back to the empty default)
     tenants: dict = field(default_factory=dict)
 
@@ -269,10 +269,10 @@ class SLOTracker:
         """All counters and distributions, JSON-serializable."""
         return asdict(self)
 
-    @classmethod
-    def from_state(cls, state: dict) -> "SLOTracker":
-        """Rebuild a tracker from a :meth:`state_dict` capture."""
-        return cls(**state)
+    def load_state(self, state: dict) -> None:
+        """Resume from a :meth:`state_dict` capture; a field the capture
+        lacks (an older snapshot) takes its default."""
+        vars(self).update(vars(type(self)(**state)))
 
     # -- fleet aggregation -----------------------------------------------------
 

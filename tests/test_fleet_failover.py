@@ -161,7 +161,7 @@ def test_affinity_forgets_assignments_on_shard_down(tree):
     router.on_shard_down(dead, coordinator)
     assert all(s != dead for s in router.assignments.values())
     survivors = [s for s in (0, 1) if s != dead]
-    coordinator._alive[dead] = False
+    coordinator._set_health(dead, "dead", 0)
     assert router.place("a", instance, coordinator) in survivors
 
 

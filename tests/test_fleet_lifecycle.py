@@ -145,16 +145,15 @@ def test_suspected_shard_steps_but_takes_no_traffic(tree):
     assert routed_while_suspected == []
 
 
-def test_alive_view_is_boolean_facade(tree):
+def test_set_health_drives_alive_shards(tree):
     coordinator = FleetCoordinator(make_shards(3))
-    view = coordinator._alive
-    assert len(view) == 3
-    assert list(view) == [True, True, True]
-    view[1] = False
+    assert coordinator.health == ["alive"] * 3
+    coordinator._set_health(1, "dead", 0)
     assert coordinator.health[1] == "dead"
     assert coordinator.alive_shards == [0, 2]
-    view[1] = True
+    coordinator._set_health(1, "alive", 0)
     assert coordinator.health == ["alive"] * 3
+    assert coordinator.alive_shards == [0, 1, 2]
 
 
 def test_restore_transitions_validated(tree):
@@ -163,7 +162,7 @@ def test_restore_transitions_validated(tree):
         coordinator.begin_restore(0)
     with pytest.raises(ValueError, match="nothing to rejoin"):
         coordinator.rejoin(0)
-    coordinator._alive[1] = False
+    coordinator._set_health(1, "dead", 0)
     coordinator.begin_restore(1)
     assert coordinator.health[1] == "restoring"
     coordinator.abandon_restore(1)
@@ -220,7 +219,7 @@ def test_state_dict_round_trips_through_json_mid_run(tree):
 
     # restoring over the same engines at the same boundary is a no-op that
     # the run can continue from
-    coordinator.restore_state(state, clients)
+    coordinator.load_state(state, clients)
     assert coordinator._cycle == state["cycle"]
     while coordinator.step():
         pass
@@ -241,12 +240,12 @@ def test_restore_state_validates_version_and_router(tree):
 
     bad_version = dict(state, version=99)
     with pytest.raises(DurabilityError, match="version"):
-        coordinator.restore_state(bad_version, clients)
+        coordinator.load_state(bad_version, clients)
 
     wrong_router = FleetCoordinator(make_shards(2), router="round-robin")
     with pytest.raises(DurabilityError, match="router"):
-        wrong_router.restore_state(json.loads(json.dumps(state)), clients)
+        wrong_router.load_state(json.loads(json.dumps(state)), clients)
 
     wrong_shards = FleetCoordinator(make_shards(3), router="affinity")
     with pytest.raises(DurabilityError, match="shards"):
-        wrong_shards.restore_state(json.loads(json.dumps(state)), clients)
+        wrong_shards.load_state(json.loads(json.dumps(state)), clients)

@@ -6,14 +6,13 @@ import json
 
 import pytest
 
-from repro.cli import _build_engine
 from repro.host.daemon import QueueSink, ServeDaemon, SubmitFeed
-from repro.serve import DurableServer
+from repro.serve import DurableServer, EngineConfig
 from repro.serve.durability import instance_to_json
 from repro.trees import CompleteBinaryTree
 
 
-def _config(state_dir, **overrides):
+def _config(state_dir, **overrides) -> EngineConfig:
     config = {
         "levels": 8,
         "modules": 7,
@@ -42,7 +41,7 @@ def _config(state_dir, **overrides):
         "daemon": True,
     }
     config.update(overrides)
-    return config
+    return EngineConfig(**config)
 
 
 # -- SubmitFeed ----------------------------------------------------------------
@@ -161,11 +160,11 @@ async def _wait_listening(daemon, task):
 
 def _start_daemon(tmp_path, **config_overrides):
     config = _config(tmp_path, **config_overrides)
-    engine, clients, recorder = _build_engine(config)
+    engine, clients, recorder = config.build()
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config, indent=2) + "\n")
+    config_path.write_text(config.to_json())
     server = DurableServer(
-        engine, clients, tmp_path, checkpoint_every=config["checkpoint_every"]
+        engine, clients, tmp_path, checkpoint_every=config.checkpoint_every
     )
     daemon = ServeDaemon(
         server,
@@ -173,7 +172,7 @@ def _start_daemon(tmp_path, **config_overrides):
         config=config,
         config_path=config_path,
         port=0,
-        max_cycles=config["cycles"],
+        max_cycles=config.cycles,
         tick_interval=0.02,
         cycles_per_tick=5,
     )
@@ -245,11 +244,12 @@ def test_daemon_round_trip_then_rolling_restart(tmp_path):
 
     # rolling restart: the shutdown checkpoint covers the whole journal, so
     # recovery replays zero records and resumes the mutated engine
-    config = json.loads((tmp_path / "config.json").read_text())
-    engine, clients, _ = _build_engine(config)
+    config = EngineConfig.from_json((tmp_path / "config.json").read_text())
+    assert daemon.config == config
+    engine, clients, _ = config.build()
     assert engine.policy.name == "load-aware"
     server = DurableServer(
-        engine, clients, tmp_path, checkpoint_every=config["checkpoint_every"]
+        engine, clients, tmp_path, checkpoint_every=config.checkpoint_every
     )
     report = server.recover()
     assert server.replayed_records == 0

@@ -29,11 +29,14 @@ class TestModulePorts:
         with pytest.raises(ValueError):
             MemoryModule(module_id=0, ports=0)
 
-    def test_busy_until_shim(self):
-        mod = MemoryModule(module_id=0, ports=3)
-        mod.busy_until = 5
-        assert mod.busy_until == 5
-        assert mod.step(4) is None or not mod.queue  # all ports blocked
+    def test_reset_clock_frees_every_port(self):
+        mod = MemoryModule(module_id=0, ports=3, latency=5)
+        for i in range(4):
+            mod.enqueue(i, i)
+        assert all(mod.step(0) is not None for _ in range(3))
+        assert mod.step(4) is None  # all three ports busy until cycle 5
+        mod.reset_clock()
+        assert mod.step(0) is not None  # a fresh drain starts every port at 0
 
 
 class TestSystemPorts:

@@ -505,7 +505,7 @@ class TestFaultScheduleRuntimeRoundTrip:
 
     def test_restore_runtime_validates_cursor(self):
         sched = FaultSchedule.parse("fail=1@10:60,seed=3")
-        state = sched.runtime_state()
+        state = sched.state_dict()
         state["cursor"] = 99
         with pytest.raises(ValueError, match="cursor"):
-            sched.restore_runtime(state)
+            sched.load_state(state)
