@@ -14,8 +14,8 @@ on another machine.  A live schedule's advancement state (cursor + drop
 lottery) rides along, so a spec saved mid-run resumes mid-window.
 
 Serving-state snapshots (:mod:`repro.serve.durability`) persist through
-:func:`save_snapshot` / :func:`load_snapshot`: one JSON document carrying a
-CRC-32 over the canonical payload encoding, written atomically
+:func:`save_snapshot` / :func:`load_snapshot`: one JSON document carrying
+the payload in its canonical encoding plus a CRC-32 over it, written atomically
 (temp-file + rename) so a crash mid-write never leaves a file that loads as
 valid but truncated state.
 """
@@ -35,12 +35,14 @@ from repro.trees import CompleteBinaryTree
 
 __all__ = [
     "FrozenMapping",
+    "checksummed_json",
     "load_faults",
     "load_mapping",
     "load_snapshot",
     "save_faults",
     "save_mapping",
     "save_snapshot",
+    "snapshot_document",
 ]
 
 _FORMAT_VERSION = 1
@@ -157,29 +159,45 @@ def load_faults(path: str | Path) -> FaultModel | FaultSchedule:
     raise ValueError(f"{path} is not a saved fault spec: type={kind!r}")
 
 
-def _canonical(payload: dict) -> bytes:
-    """Canonical JSON encoding (sorted keys, no whitespace) for checksums."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+def checksummed_json(payload) -> tuple[str, int]:
+    """Canonical JSON text of ``payload`` (sorted keys, no whitespace) and
+    the CRC-32 of that text.
+
+    The one encoder behind every checksum on disk: snapshot and journal
+    writers store the text itself, so each payload is encoded once, and
+    readers re-canonicalise what they parse, so a document written in any
+    key order or spacing checks against the same CRC.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return text, zlib.crc32(text.encode())
+
+
+def snapshot_document(payload: dict) -> str:
+    """The full text :func:`save_snapshot` writes for ``payload``.
+
+    The payload is stored in its canonical encoding, the same bytes its
+    CRC covers.
+    """
+    text, crc = checksummed_json(payload)
+    return (
+        f'{{"format_version": {_FORMAT_VERSION}, "type": "engine_snapshot", '
+        f'"crc": {crc}, "payload": {text}}}\n'
+    )
 
 
 def save_snapshot(payload: dict, path: str | Path) -> Path:
     """Write ``payload`` as a checksummed snapshot document, atomically.
 
     The document wraps the payload with a format version and a CRC-32 over
-    its canonical encoding; :func:`load_snapshot` refuses anything torn or
-    bit-flipped.  The write goes to a temp file in the same directory and
-    is renamed into place, so a crash mid-write leaves either the old
-    snapshot or none — never a half-written one at the final path.
+    its canonical encoding (see :func:`snapshot_document`);
+    :func:`load_snapshot` refuses anything torn or bit-flipped.  The write
+    goes to a temp file in the same directory and is renamed into place,
+    so a crash mid-write leaves either the old snapshot or none — never a
+    half-written one at the final path.
     """
     path = Path(path)
-    doc = {
-        "format_version": _FORMAT_VERSION,
-        "type": "engine_snapshot",
-        "crc": zlib.crc32(_canonical(payload)),
-        "payload": payload,
-    }
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc) + "\n")
+    tmp.write_text(snapshot_document(payload))
     os.replace(tmp, path)
     return path
 
@@ -205,6 +223,6 @@ def load_snapshot(path: str | Path) -> dict:
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise ValueError(f"{path} carries no snapshot payload")
-    if zlib.crc32(_canonical(payload)) != doc.get("crc"):
+    if checksummed_json(payload)[1] != doc.get("crc"):
         raise ValueError(f"{path} failed its checksum (torn or corrupted write)")
     return payload

@@ -49,7 +49,6 @@ from __future__ import annotations
 import heapq
 import json
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -57,7 +56,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.host.driver import Driver
-from repro.io import load_snapshot, save_snapshot
+from repro.io import (
+    checksummed_json,
+    load_snapshot,
+    save_snapshot,
+    snapshot_document,
+)
 from repro.obs.perf import NULL_PROFILER
 from repro.serve.batching import Batch, _elementary_components
 from repro.serve.clients import Client
@@ -419,19 +423,16 @@ class EngineSnapshot:
 # -- write-ahead journal -------------------------------------------------------
 
 
-def _record_crc(rec: dict) -> int:
-    return zlib.crc32(
-        json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
-    )
-
-
 class ServeJournal:
     """Append-only JSONL write-ahead log of serving lifecycle records.
 
     Layout: a header line ``{"format": 1, "type": "serve_journal"}``, then
     one line per record — ``{"crc": <crc32 of the canonical record>,
-    "rec": {"seq": n, "kind": ..., "cycle": ..., ...}}`` — flushed per
-    append, so at most the final record can be torn by a crash.
+    "rec": {"cycle": ..., "kind": ..., "seq": n, ...}}`` — flushed per
+    append, so at most the final record can be torn by a crash.  ``rec``
+    is written in its canonical encoding (the text the CRC covers, see
+    :func:`repro.io.checksummed_json`); :meth:`recover` re-canonicalises
+    what it parses, so journals with records in any key order load.
 
     Two modes share :meth:`record`: *append* (normal operation — the record
     is written and flushed) and *verify* (recovery — the record the resumed
@@ -495,7 +496,7 @@ class ServeJournal:
                 rec = doc.get("rec") if isinstance(doc, dict) else None
                 if (
                     not isinstance(rec, dict)
-                    or doc.get("crc") != _record_crc(rec)
+                    or doc.get("crc") != checksummed_json(rec)[1]
                     or rec.get("seq") != len(records)
                 ):
                     break
@@ -564,7 +565,8 @@ class ServeJournal:
         self.records.append(rec)
         self._next += 1
         with self.profiler.span("journal"):
-            self._fh.write(json.dumps({"crc": _record_crc(rec), "rec": rec}) + "\n")
+            text, crc = checksummed_json(rec)
+            self._fh.write(f'{{"crc": {crc}, "rec": {text}}}\n')
             self._fh.flush()
 
     def close(self) -> None:
@@ -892,18 +894,8 @@ class DurableServer:
         if plan.mode == "mid_checkpoint":
             # a torn snapshot at the final path, as if the writer died
             # mid-write with no atomic-rename protection
-            snapshot = engine.checkpoint()
-            doc = json.dumps(
-                {
-                    "format_version": 1,
-                    "type": "engine_snapshot",
-                    "crc": 0,
-                    "payload": snapshot.to_json(),
-                }
-            )
-            self._snapshot_path(engine._cycle).write_text(
-                doc[: max(1, len(doc) // 2)]
-            )
+            doc = snapshot_document(engine.checkpoint().to_json())
+            self._snapshot_path(engine._cycle).write_text(doc[: len(doc) // 2])
         elif plan.mode == "torn_journal":
             # a partial record at the journal tail (no trailing newline)
             self.journal._fh.write('{"crc": 1234567, "rec": {"seq": ')

@@ -11,7 +11,7 @@ speaks to (components per batch, conflicts per batch, rounds per request).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.memory.stats import latency_summary
 from repro.serve.batching import Batch
@@ -266,13 +266,30 @@ class SLOTracker:
     # -- checkpoint / restore --------------------------------------------------
 
     def state_dict(self) -> dict:
-        """All counters and distributions, JSON-serializable."""
-        return asdict(self)
+        """All counters and distributions, JSON-serializable.
+
+        Equal to ``dataclasses.asdict(self)``, key order included, and
+        sharing no list or bucket with the live tracker.  It is built from
+        C-level list copies: the distributions grow with the run, so a
+        per-element copy would make each checkpoint cost time in
+        proportion to the whole history.
+        """
+        state = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            state[f.name] = list(value) if isinstance(value, list) else value
+        state["tenants"] = {
+            label: {**bucket, "sojourns": list(bucket["sojourns"])}
+            for label, bucket in self.tenants.items()
+        }
+        return state
 
     def load_state(self, state: dict) -> None:
         """Resume from a :meth:`state_dict` capture; a field the capture
-        lacks (an older snapshot) takes its default."""
-        vars(self).update(vars(type(self)(**state)))
+        lacks (an older snapshot) takes its default.  The tracker copies
+        the capture's lists, so restoring one snapshot twice gives two
+        independent runs."""
+        vars(self).update(type(self)(**state).state_dict())
 
     # -- fleet aggregation -----------------------------------------------------
 

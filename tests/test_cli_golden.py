@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +59,12 @@ CASES = {
          "--checkpoint-every", "50", "--crash-at", "300"],
         ["recover", "--state-dir", "state"],
     ],
+    "serve_recover_mid_checkpoint": [
+        ["serve", *SERVE, *FAULTS, "--state-dir", "state",
+         "--checkpoint-every", "50", "--crash-at", "300",
+         "--crash-mode", "mid_checkpoint"],
+        ["recover", "--state-dir", "state"],
+    ],
     "fleet_recover": [
         ["fleet", *FLEET, "--shard-state-dir", "fleet-state", "--crash-at", "450"],
         ["recover", "--fleet", "fleet-state"],
@@ -79,6 +86,10 @@ GOLDEN = {
         (9, "961b5a154ef80e842a94c678fff132d5377e802b34cc7b4a30af6301bbe818c7"),
         (0, "4bcfd350a4233fba3de5c6b0a5b13d53b1da779aff22b75f913b4027cd55743e"),
     ],
+    "serve_recover_mid_checkpoint": [
+        (9, "5b61551372eadfb5dcbccc5a5b83a6ec7e2ade1c643d35ce384dc92a547451e4"),
+        (0, "4bcfd350a4233fba3de5c6b0a5b13d53b1da779aff22b75f913b4027cd55743e"),
+    ],
     "fleet_recover": [
         (9, "ffe3da29704a5e03faf38f8f9b278ca52125a61f685528c87b935c481dced827"),
         (0, "6e9286d54939b0ea38ce07957e066250e6f2f7145354ac865e3eb56e1fc66a2d"),
@@ -95,25 +106,50 @@ def _digest(stdout: str) -> str:
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
-def run_case(name: str, workdir: Path) -> list[tuple[int, str]]:
-    """Run one case's commands in ``workdir``; ``(exit code, digest)`` each."""
-    results = []
+def run_command(argv: list[str], workdir: Path) -> tuple[int, str]:
+    """Run one ``pmtree`` command in ``workdir``; ``(exit code, digest)``."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for argv in CASES[name]:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            results.append((code, _digest(out.getvalue())))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
     finally:
         os.chdir(cwd)
-    return results
+    return code, _digest(out.getvalue())
+
+
+def run_case(name: str, workdir: Path) -> list[tuple[int, str]]:
+    """Run one case's commands in ``workdir``; ``(exit code, digest)`` each."""
+    return [run_command(argv, workdir) for argv in CASES[name]]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+def test_parent_written_state_dir_recovers(tmp_path):
+    """``tests/data/serve_state_parent`` is the state dir the first
+    ``serve_recover`` command leaves, written before snapshots and journal
+    records were stored canonically (spaced, insertion-ordered JSON).  It
+    recovers to the pinned stdout, and the snapshot the current writer
+    leaves at the same cycle parses to the same payload."""
+    from repro.io import load_snapshot
+
+    parent = DATA / "serve_state_parent"
+    snap = "snap-000000250.json"
+    assert '"payload": {"version": 1, "cycle": 250' in (parent / snap).read_text()
+    shutil.copytree(parent, tmp_path / "state")
+    recover = ["recover", "--state-dir", "state"]
+    assert run_command(recover, tmp_path) == GOLDEN["serve_recover"][1]
+
+    crash = CASES["serve_recover"][0]
+    (tmp_path / "new").mkdir()
+    assert run_command(crash, tmp_path / "new") == GOLDEN["serve_recover"][0]
+    assert load_snapshot(tmp_path / "new" / "state" / snap) == load_snapshot(
+        parent / snap
+    )
 
 
 @pytest.mark.parametrize(

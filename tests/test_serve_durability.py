@@ -1,19 +1,31 @@
 """Crash-consistent serving: snapshots, the write-ahead journal, and
 deterministic recovery (plus the satellite state-capture contracts)."""
 
+import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ColorMapping
-from repro.io import load_faults, save_faults, save_snapshot
+from repro.io import (
+    checksummed_json,
+    load_faults,
+    load_snapshot,
+    save_faults,
+    save_snapshot,
+    snapshot_document,
+)
 from repro.memory import FaultSchedule, ParallelMemorySystem
 from repro.obs import EventRecorder
 from repro.serve import (
     CrashPlan,
     DurabilityError,
     DurableServer,
+    EngineConfig,
     EngineSnapshot,
     JournalError,
     PoissonClient,
@@ -90,8 +102,6 @@ class TestSnapshotRoundTrip:
         snapshot = engine.checkpoint()
         # survive the actual persistence path, not just object identity
         save_snapshot(snapshot.to_json(), tmp_path / "snap.json")
-        from repro.io import load_snapshot
-
         restored = EngineSnapshot.from_json(load_snapshot(tmp_path / "snap.json"))
 
         engine2, clients2 = factory()
@@ -509,3 +519,229 @@ class TestFaultScheduleRuntimeRoundTrip:
         state["cursor"] = 99
         with pytest.raises(ValueError, match="cursor"):
             sched.load_state(state)
+
+
+# -- checkpoint cost: tracker capture and the on-disk layout --------------------
+
+_COUNTERS = [
+    f.name for f in dataclasses.fields(SLOTracker) if f.default is not dataclasses.MISSING
+]
+_LISTS = [
+    f.name
+    for f in dataclasses.fields(SLOTracker)
+    if f.default is dataclasses.MISSING and f.name != "tenants"
+]
+_ints = st.integers(min_value=0, max_value=10**6)
+_buckets = st.fixed_dictionaries(
+    {
+        "arrivals": _ints,
+        "completed": _ints,
+        "items": _ints,
+        "shed": _ints,
+        "sojourns": st.lists(_ints, max_size=20),
+    }
+)
+_trackers = st.builds(
+    lambda counters, lists, tenants: SLOTracker(**counters, **lists, tenants=tenants),
+    st.fixed_dictionaries({name: _ints for name in _COUNTERS}),
+    st.fixed_dictionaries({name: st.lists(_ints, max_size=30) for name in _LISTS}),
+    st.dictionaries(st.text(min_size=1, max_size=6), _buckets, max_size=5),
+)
+
+
+def _mutate(tracker: SLOTracker) -> None:
+    """Everything the engine callbacks can do to a tracker after a capture."""
+    for name in _COUNTERS:
+        setattr(tracker, name, getattr(tracker, name) + 1)
+    for name in _LISTS:
+        getattr(tracker, name).append(-1)
+    for bucket in tracker.tenants.values():
+        bucket["completed"] += 1
+        bucket["sojourns"].append(-1)
+    tracker.tenants["new-tenant"] = {
+        "arrivals": 1, "completed": 0, "items": 0, "shed": 0, "sojourns": [],
+    }
+
+
+class TestTrackerState:
+    @settings(max_examples=60, deadline=None)
+    @given(_trackers)
+    def test_state_dict_equals_asdict_in_order(self, tracker):
+        state = tracker.state_dict()
+        reference = dataclasses.asdict(tracker)
+        assert state == reference
+        # key order too, at every level: the unsorted encodings agree
+        assert json.dumps(state) == json.dumps(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trackers)
+    def test_capture_is_independent_of_the_live_tracker(self, tracker):
+        state = tracker.state_dict()
+        frozen = json.dumps(state)
+        _mutate(tracker)
+        assert json.dumps(state) == frozen
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trackers)
+    def test_load_state_round_trips_without_aliasing(self, tracker):
+        state = tracker.state_dict()
+        frozen = json.dumps(state)
+        restored = SLOTracker()
+        restored.load_state(state)
+        assert dataclasses.asdict(restored) == dataclasses.asdict(tracker)
+        _mutate(restored)
+        assert json.dumps(state) == frozen
+
+    def test_load_state_defaults_missing_fields(self):
+        restored = SLOTracker(arrivals=3, sojourns=[1])
+        state = SLOTracker(arrivals=5).state_dict()
+        del state["tenants"], state["recoveries"]
+        restored.load_state(state)
+        assert restored == SLOTracker(arrivals=5)
+
+    def test_one_snapshot_restores_twice_identically(self):
+        """Two engines restored from the same in-memory snapshot run the
+        same history: the first must not append into the snapshot."""
+        config = EngineConfig(
+            levels=9, modules=7, cycles=400, arrival_rate=0.25, clients=2,
+            seed=4, workload="subtree:7=2,path:6=1,level:4=1",
+        )
+        engine, clients, _ = config.build()
+        engine.start(clients, config.cycles)
+        for _ in range(200):
+            engine.step()
+        snapshot = engine.checkpoint()
+        reports = []
+        for _ in range(2):
+            engine, clients, _ = config.build()
+            engine.restore(snapshot, clients)
+            while engine.step():
+                pass
+            reports.append(engine.finish())
+        assert diff_reports(reports[0], reports[1]) == []
+
+
+# Earlier releases wrote snapshot payloads and journal records with a plain
+# ``json.dumps`` (insertion order, default spacing) and a CRC over the
+# canonical encoding; these helpers write that layout independently of
+# ``repro.io`` so the readers are checked against it.
+
+
+def _old_crc(obj) -> int:
+    return zlib.crc32(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
+
+
+def _old_snapshot_text(payload: dict) -> str:
+    doc = {
+        "format_version": 1,
+        "type": "engine_snapshot",
+        "crc": _old_crc(payload),
+        "payload": payload,
+    }
+    return json.dumps(doc) + "\n"
+
+
+def _mid_run_payload() -> dict:
+    """A mid-run snapshot payload as JSON gives it back (tuples as lists)."""
+    engine, clients = make_factory()()
+    engine.start(clients, 400)
+    for _ in range(180):
+        engine.step()
+    return json.loads(json.dumps(engine.checkpoint().to_json()))
+
+
+def _flip_digit(text: str, start: int) -> str:
+    """``text`` with the first digit at or after ``start`` changed."""
+    pos = next(i for i in range(start, len(text)) if text[i].isdigit())
+    flipped = "1" if text[pos] != "1" else "2"
+    return text[:pos] + flipped + text[pos + 1 :]
+
+
+class TestOnDiskLayout:
+    def test_snapshot_payload_is_stored_canonically(self, tmp_path):
+        payload = _mid_run_payload()
+        path = save_snapshot(payload, tmp_path / "snap.json")
+        text = path.read_text()
+        assert text == snapshot_document(payload)
+        canonical, crc = checksummed_json(payload)
+        assert text.endswith(f'"crc": {crc}, "payload": {canonical}}}\n')
+        assert load_snapshot(path) == payload
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_old_layout_snapshot_loads(self, tmp_path):
+        payload = _mid_run_payload()
+        path = tmp_path / "snap.json"
+        path.write_text(_old_snapshot_text(payload))
+        assert '"payload": {"version": 1, "cycle": 180' in path.read_text()
+        assert load_snapshot(path) == payload
+        snapshot = EngineSnapshot.from_json(load_snapshot(path))
+        assert snapshot.cycle == 180
+
+    def test_flipped_payload_byte_is_rejected(self, tmp_path):
+        payload = _mid_run_payload()
+        text = snapshot_document(payload)
+        path = tmp_path / "snap.json"
+        path.write_text(_flip_digit(text, text.index('"payload"')))
+        with pytest.raises(ValueError, match="checksum"):
+            load_snapshot(path)
+
+    def test_mid_checkpoint_crash_leaves_half_the_document(self, tmp_path):
+        factory = make_factory()
+        engine, clients = factory()
+        server = DurableServer(
+            engine, clients, tmp_path, checkpoint_every=100,
+            crash_plan=CrashPlan(at_cycle=150, mode="mid_checkpoint"),
+        )
+        with pytest.raises(SimulatedCrash):
+            server.serve(400)
+        torn = (tmp_path / "snap-000000150.json").read_text()
+        doc = snapshot_document(engine.checkpoint().to_json())
+        assert torn == doc[: len(doc) // 2]
+        with pytest.raises(ValueError, match="not a complete snapshot"):
+            load_snapshot(tmp_path / "snap-000000150.json")
+        assert server.store.latest_snapshot().cycle == 100
+
+    def test_journal_records_are_stored_canonically(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = ServeJournal.create(path)
+        j.record("admit", 3, request=0, client=1, tenant="1", size=7)
+        j.close()
+        rec = {"seq": 0, "kind": "admit", "cycle": 3, "request": 0,
+               "client": 1, "tenant": "1", "size": 7}
+        text, crc = checksummed_json(rec)
+        assert path.read_text().splitlines()[1] == f'{{"crc": {crc}, "rec": {text}}}'
+
+    def test_old_layout_journal_loads(self, tmp_path):
+        records = [
+            {"seq": 0, "kind": "admit", "cycle": 2, "request": 0, "client": 1,
+             "tenant": "1", "size": 6},
+            {"seq": 1, "kind": "dispatch", "cycle": 2, "batch": 0,
+             "requests": [0], "size": 6, "conflicts": 0},
+        ]
+        lines = [json.dumps({"format": 1, "type": "serve_journal"})]
+        for rec in records:
+            lines.append(json.dumps({"crc": _old_crc(rec), "rec": rec}))
+        path = tmp_path / "j.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        j = ServeJournal.recover(path)
+        assert j.records == records
+        # appending continues in the canonical layout after the old lines
+        j.record("retire", 5, request=0)
+        j.close()
+        again = ServeJournal.recover(path)
+        assert [r["kind"] for r in again.records] == ["admit", "dispatch", "retire"]
+        again.close()
+
+    def test_flipped_journal_byte_truncates(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = ServeJournal.create(path)
+        for i in range(4):
+            j.record("admit", i, request=i, size=10 + i)
+        j.close()
+        lines = path.read_text().splitlines()
+        lines[3] = _flip_digit(lines[3], lines[3].index('"size"'))  # seqno 2
+        path.write_text("\n".join(lines) + "\n")
+        j2 = ServeJournal.recover(path)
+        assert [r["seq"] for r in j2.records] == [0, 1]
+        j2.close()
+        assert len(path.read_text().splitlines()) == 3
