@@ -135,10 +135,27 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _load_trace(path, num_nodes: int | None = None) -> AccessTrace:
+    """Read a saved trace; a malformed one, or one naming a node past a tree
+    of ``num_nodes``, is a one-line error (exit 2), not a traceback."""
+    try:
+        trace = AccessTrace.load(path)
+        largest = max((int(nodes.max()) for _, nodes in trace), default=-1)
+        if num_nodes is not None and largest >= num_nodes:
+            raise ValueError(
+                f"names node {largest}, but the mapping's tree has "
+                f"{num_nodes} nodes (ids 0..{num_nodes - 1})"
+            )
+    except ValueError as exc:
+        print(f"pmtree: trace {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return trace
+
+
 def cmd_profile(args) -> int:
     from repro.memory import profile_trace
 
-    trace = AccessTrace.load(args.trace)
+    trace = _load_trace(args.trace)
     profile = profile_trace(trace)
     print(profile)
     print(f"mean access size: {profile.mean_access_size:.2f} "
@@ -175,7 +192,7 @@ def cmd_simulate(args) -> int:
     from repro.obs import EventRecorder
 
     mapping = load_mapping(args.mapping)
-    trace = AccessTrace.load(args.trace)
+    trace = _load_trace(args.trace, mapping.tree.num_nodes)
     recorder = EventRecorder() if getattr(args, "obs", None) else None
     faults = resolve_faults(args.faults) if getattr(args, "faults", None) else None
     if isinstance(faults, FaultSchedule):

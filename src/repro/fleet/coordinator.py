@@ -557,8 +557,7 @@ class FleetCoordinator:
         engine._batch_dispatched_at = 0
         engine._completions = []
         engine._remaining = {}
-        for mod in engine.system.modules:
-            mod.reset_queue()
+        engine.system.clear_queues()
         return purged
 
     # -- main loop -------------------------------------------------------------

@@ -14,11 +14,17 @@ Two replay modes:
 * **pipelined** — all accesses are enqueued up front and the array drains;
   measures throughput, where load balance (Theorem 7) matters more than
   per-access conflicts.
+
+Every mode — and open-loop replay and the serving engine — queues work
+through :meth:`ParallelMemorySystem.submit` and serves it one cycle at a
+time through :meth:`ParallelMemorySystem.issue`, the single statement of
+the cost model's service rule.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -224,7 +230,81 @@ class ParallelMemorySystem:
                 f"requests but are failed with no scheduled recovery"
             )
 
-    # -- core cycle loop -----------------------------------------------------
+    # -- the one enqueue and the one service cycle ------------------------------
+
+    def submit(
+        self, nodes: np.ndarray, key=None, mapping: TreeMapping | None = None
+    ) -> np.ndarray:
+        """Queue each node of one access on its module; returns the colors.
+
+        Item ``i`` is tagged ``i``, or ``(key, i)`` when ``key`` is given
+        (open-loop replay keys by access, serving by request).  ``mapping``
+        stands in for the bound mapping (the serving engine passes its
+        repair mapping while modules are down).
+        """
+        colors = (self.mapping if mapping is None else mapping).colors_of(nodes)
+        modules = self.modules
+        for i, (node, color) in enumerate(
+            zip(np.asarray(nodes).tolist(), colors.tolist())
+        ):
+            modules[color].enqueue(i if key is None else (key, i), node)
+        return colors
+
+    def issue(self, cycle: int, start: int) -> Iterator[tuple[MemoryModule, tuple, int]]:
+        """Run one service cycle; yields ``(module, request, completion)``.
+
+        Emits ``queue_depth`` per module holding work, then steps modules
+        round-robin from ``start % M`` under the interconnect's issue limit
+        (an interconnect ``stall`` when the limit cuts the scan short with
+        work queued).  Requests the drop lottery loses are re-queued, not
+        yielded; the rest are yielded as served, completing at
+        ``cycle + latency``, so a caller's ``complete`` follows the ``issue``.
+        """
+        modules = self.modules
+        limit = self.interconnect.issue_limit(self.num_modules)
+        rec = self.recorder
+        recording = rec.enabled
+        if recording:
+            for mod in modules:
+                if mod.queue:
+                    rec.event(
+                        "queue_depth",
+                        cycle=cycle,
+                        module=mod.module_id,
+                        depth=len(mod.queue),
+                    )
+        first = start % self.num_modules
+        issued = 0
+        # fair round-robin over modules so a narrow interconnect does not
+        # starve high-numbered banks
+        for mod in modules[first:] + modules[:first]:
+            if issued >= limit:
+                if recording:
+                    pending = sum(len(m.queue) for m in modules)
+                    if pending:
+                        rec.event(
+                            "stall", cycle=cycle, where="interconnect", pending=pending
+                        )
+                break
+            while issued < limit:
+                served = mod.step(cycle)
+                if served is None:
+                    break
+                issued += 1
+                if self.maybe_drop(mod, served, cycle):
+                    continue  # lost in flight; re-queued for another go
+                yield mod, served, cycle + mod.latency
+
+    def withdraw(self, keys) -> None:
+        """Drop every queued item tagged ``(key, i)`` with ``key`` in ``keys``."""
+        for mod in self.modules:
+            if mod.queue:
+                mod.queue = deque(entry for entry in mod.queue if entry[0][0] not in keys)
+
+    def clear_queues(self) -> None:
+        """Drop every queued item and forget the port clocks."""
+        for mod in self.modules:
+            mod.reset_queue()
 
     def _drain(self) -> int:
         """Run cycles until every request *completes*; returns cycles elapsed.
@@ -238,8 +318,11 @@ class ParallelMemorySystem:
         accesses on an issue-limited interconnect rotate which module is
         served first (a fixed-length drain used to wrap the pointer back to
         where it started, pinning module 0 at the head of every access).
+        The drain counts cycles from 0, so it first clears the port clocks
+        an earlier drain left behind.
         """
-        limit = self.interconnect.issue_limit(self.num_modules)
+        for mod in self.modules:
+            mod.reset_clock()
         cycles = 0
         pending = sum(len(mod.queue) for mod in self.modules)
         latencies: list[int] | None = [] if self.record_latencies else None
@@ -251,46 +334,15 @@ class ParallelMemorySystem:
         with prof.span("drain"):
             while pending:
                 self.advance_faults(self.clock, emit_cycle=cycles)
-                if recording:
-                    for mod in self.modules:
-                        if mod.queue:
-                            rec.event(
-                                "queue_depth",
-                                cycle=cycles,
-                                module=mod.module_id,
-                                depth=len(mod.queue),
-                            )
-                issued = 0
-                # fair round-robin over modules so a narrow interconnect
-                # does not starve high-numbered banks
-                for off in range(self.num_modules):
-                    if issued >= limit:
-                        if recording and pending:
-                            rec.event(
-                                "stall",
-                                cycle=cycles,
-                                where="interconnect",
-                                pending=pending,
-                            )
-                        break
-                    mod = self.modules[(start + cycles + off) % self.num_modules]
-                    while issued < limit:
-                        served = mod.step(cycles)
-                        if served is None:
-                            break
-                        issued += 1
-                        if self.maybe_drop(mod, served, cycles):
-                            continue  # lost in flight; re-queued for another go
-                        pending -= 1
-                        completion = cycles + mod.latency
-                        last_completion = max(last_completion, completion)
-                        if recording:
-                            rec.event(
-                                "complete", cycle=completion, module=mod.module_id
-                            )
-                        if latencies is not None:
-                            latencies.append(completion)
-                if issued == 0 and pending:
+                waiting = pending
+                for mod, _, completion in self.issue(cycles, start + cycles):
+                    pending -= 1
+                    last_completion = max(last_completion, completion)
+                    if recording:
+                        rec.event("complete", cycle=completion, module=mod.module_id)
+                    if latencies is not None:
+                        latencies.append(completion)
+                if pending == waiting:
                     self._check_fault_deadlock(self.clock)
                 cycles += 1
                 self.clock += 1
@@ -311,41 +363,43 @@ class ParallelMemorySystem:
                 extra=int(counts[module]) - 1,
             )
 
+    def _arrive(self, nodes, label: str, key=None, cycle: int = 0) -> AccessResult:
+        """Queue one access and open its telemetry; the result's cycles are 0."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        counts = np.bincount(self.submit(nodes, key=key), minlength=self.num_modules)
+        if self.recorder.enabled:
+            self._access_index += 1
+            self.recorder.begin_access(self._access_index, label)
+            self._emit_conflicts(counts, cycle=cycle)
+        return AccessResult(
+            cycles=0,
+            conflicts=int(counts.max() - 1),
+            module_counts=counts,
+            size=int(nodes.size),
+            label=label,
+        )
+
     # -- public API ------------------------------------------------------------
 
     def access(self, nodes: np.ndarray, label: str = "") -> AccessResult:
         """Simulate one parallel access to a set of tree nodes."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
+        if np.size(nodes) == 0:
             raise ValueError("an access needs at least one node")
-        colors = self.mapping.colors_of(nodes)
-        counts = np.bincount(colors, minlength=self.num_modules)
-        for mod in self.modules:
-            mod.reset_clock()  # each barrier access starts a fresh clock
-        rec = self.recorder
-        if rec.enabled:
-            self._access_index += 1
-            rec.begin_access(self._access_index, label)
-            self._emit_conflicts(counts)
-        for tag, (node, color) in enumerate(zip(nodes, colors)):
-            self.modules[int(color)].enqueue(tag, int(node))
+        queued = self._arrive(nodes, label)
         cycles = self._drain()
+        rec = self.recorder
         if rec.enabled:
             rec.event(
                 "access",
                 cycle=0,
                 label=label,
-                size=int(nodes.size),
-                conflicts=int(counts.max() - 1),
+                size=queued.size,
+                conflicts=queued.conflicts,
                 cycles=cycles,
             )
             rec.end_access(cycles)
         return AccessResult(
-            cycles=cycles,
-            conflicts=int(counts.max() - 1),
-            module_counts=counts,
-            size=int(nodes.size),
-            label=label,
+            cycles, queued.conflicts, queued.module_counts, queued.size, label
         )
 
     def run_trace(self, trace: AccessTrace, pipelined: bool = False) -> TraceStats:
@@ -355,36 +409,13 @@ class ParallelMemorySystem:
             for label, nodes in trace:
                 stats.record(self.access(nodes, label=label))
             return stats
-        # pipelined: enqueue everything, then drain once.  The drain counts
-        # cycles from 0, so clear port clocks left over from a previous run.
-        for mod in self.modules:
-            mod.reset_clock()
-        rec = self.recorder
-        total_counts = np.zeros(self.num_modules, dtype=np.int64)
+        # pipelined: enqueue everything, then drain once
         for label, nodes in trace:
-            nodes = np.asarray(nodes, dtype=np.int64)
-            colors = self.mapping.colors_of(nodes)
-            counts = np.bincount(colors, minlength=self.num_modules)
-            total_counts += counts
-            if rec.enabled:
-                self._access_index += 1
-                rec.begin_access(self._access_index, label)
-                self._emit_conflicts(counts)
-            for tag, (node, color) in enumerate(zip(nodes, colors)):
-                self.modules[int(color)].enqueue(tag, int(node))
             # per-access conflict bookkeeping still uses the paper's metric
-            stats.record(
-                AccessResult(
-                    cycles=0,
-                    conflicts=int(counts.max() - 1),
-                    module_counts=counts,
-                    size=int(nodes.size),
-                    label=label,
-                )
-            )
-        if rec.enabled:
+            stats.record(self._arrive(nodes, label))
+        if self.recorder.enabled:
             # drain events belong to the shared pipeline, not one access
-            rec.begin_access(-1)
+            self.recorder.begin_access(-1)
         stats.total_cycles = self._drain()
         return stats
 
@@ -402,10 +433,8 @@ class ParallelMemorySystem:
             mod.reset_clock()  # this loop's clock starts at 0
         stats = TraceStats()
         accesses = list(trace)
-        limit = self.interconnect.issue_limit(self.num_modules)
         latencies: list[int] | None = [] if self.record_latencies else None
-        enqueue_time: dict[tuple[int, int], int] = {}
-        next_idx = 0
+        arrivals: list[int] = []  # arrival cycle of each access so far
         pending = 0
         cycle = 0
         last_completion = 0
@@ -414,85 +443,46 @@ class ParallelMemorySystem:
         recording = rec.enabled
         prof = self.profiler
         with prof.span("open_loop"):
-            while next_idx < len(accesses) or pending:
+            while len(arrivals) < len(accesses) or pending:
                 self.advance_faults(cycle)
                 # arrivals scheduled for this cycle
                 while (
-                    next_idx < len(accesses)
-                    and cycle >= next_idx * arrival_interval
+                    len(arrivals) < len(accesses)
+                    and cycle >= len(arrivals) * arrival_interval
                 ):
-                    label, nodes = accesses[next_idx]
-                    nodes = np.asarray(nodes, dtype=np.int64)
-                    colors = self.mapping.colors_of(nodes)
-                    counts = np.bincount(colors, minlength=self.num_modules)
+                    label, nodes = accesses[len(arrivals)]
+                    queued = self._arrive(nodes, label, key=len(arrivals), cycle=cycle)
                     if recording:
-                        self._access_index += 1
-                        rec.begin_access(self._access_index, label)
-                        self._emit_conflicts(counts, cycle=cycle)
                         rec.event(
                             "access",
                             cycle=cycle,
                             label=label,
-                            size=int(nodes.size),
-                            conflicts=int(counts.max() - 1),
+                            size=queued.size,
+                            conflicts=queued.conflicts,
                         )
-                    for tag, (node, color) in enumerate(zip(nodes, colors)):
-                        self.modules[int(color)].enqueue((next_idx, tag), int(node))
-                        enqueue_time[(next_idx, tag)] = cycle
-                    stats.record(
-                        AccessResult(
-                            cycles=0,
-                            conflicts=int(counts.max() - 1),
-                            module_counts=counts,
-                            size=int(nodes.size),
-                            label=label,
-                        )
-                    )
-                    pending += nodes.size
-                    next_idx += 1
+                    arrivals.append(cycle)
+                    stats.record(queued)
+                    pending += queued.size
                 if recording:
                     rec.begin_access(-1)  # served requests span accesses
-                    for mod in self.modules:
-                        if mod.queue:
-                            rec.event(
-                                "queue_depth",
-                                cycle=cycle,
-                                module=mod.module_id,
-                                depth=len(mod.queue),
-                            )
-                issued = 0
-                for off in range(self.num_modules):
-                    if issued >= limit:
-                        if recording and pending:
-                            rec.event(
-                                "stall",
-                                cycle=cycle,
-                                where="interconnect",
-                                pending=pending,
-                            )
-                        break
-                    mod = self.modules[(start + cycle + off) % self.num_modules]
-                    while issued < limit:
-                        served = mod.step(cycle)
-                        if served is None:
-                            break
-                        issued += 1
-                        if self.maybe_drop(mod, served, cycle):
-                            continue  # lost in flight; re-queued for another go
-                        pending -= 1
-                        completion = cycle + mod.latency
-                        last_completion = max(last_completion, completion)
-                        if recording:
-                            rec.event(
-                                "complete",
-                                cycle=completion,
-                                module=mod.module_id,
-                                access=served[0][0],
-                                sojourn=completion - enqueue_time[served[0]],
-                            )
-                        if latencies is not None:
-                            latencies.append(completion - enqueue_time[served[0]])
-                if issued == 0 and pending and next_idx >= len(accesses):
+                waiting = pending
+                for mod, ((index, _), _), completion in self.issue(
+                    cycle, start + cycle
+                ):
+                    pending -= 1
+                    last_completion = max(last_completion, completion)
+                    sojourn = completion - arrivals[index]
+                    if recording:
+                        rec.event(
+                            "complete",
+                            cycle=completion,
+                            module=mod.module_id,
+                            access=index,
+                            sojourn=sojourn,
+                        )
+                    if latencies is not None:
+                        latencies.append(sojourn)
+                if pending and pending == waiting and len(arrivals) == len(accesses):
                     self._check_fault_deadlock(cycle)
                 cycle += 1
         if prof.enabled:

@@ -33,6 +33,8 @@ class AccessTrace:
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("each access must be a non-empty 1-D node array")
+        if nodes.min() < 0:
+            raise ValueError(f"node ids must be >= 0, got {int(nodes.min())}")
         self._accesses.append((label, nodes))
 
     def add_instance(self, instance: TemplateInstance, label: str | None = None) -> None:

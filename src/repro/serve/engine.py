@@ -15,7 +15,9 @@ pre-built trace.  Each cycle it:
    :class:`~repro.serve.batching.BatchPolicy` and dispatches it — all
    requests of a batch are enqueued together, exactly the paper's composite
    access — and
-5. steps the memory modules under the interconnect's issue limit.
+5. runs one service cycle through
+   :meth:`~repro.memory.system.ParallelMemorySystem.issue`, the same
+   cycle barrier and open-loop replay run.
 
 A batch occupies the array until every one of its requests has completed
 (the paper's serialized round-group: on a unit-latency crossbar a batch
@@ -31,10 +33,11 @@ via :func:`~repro.serve.request.degrade_instance` and the retry budget
 resets), then *shed*.  The ladder guarantees the engine drains even when a
 module never recovers.
 
-Telemetry rides the system's :mod:`repro.obs` recorder: module-level
-``issue``/``complete``/``queue_depth`` events are emitted by the shared
-machinery, the system emits ``fault_inject``/``fault_recover``/``fault_drop``
-as schedule edges apply, and the engine adds ``serve_arrival`` /
+Telemetry rides the system's :mod:`repro.obs` recorder: the system's
+issue cycle emits the module-level ``issue`` / ``queue_depth`` / ``stall``
+events (the engine adds each ``complete`` with its request id), the system
+emits ``fault_inject``/``fault_recover``/``fault_drop`` as schedule edges
+apply, and the engine adds ``serve_arrival`` /
 ``serve_shed`` / ``access`` (one per batch) / ``batch_retire`` /
 ``serve_complete`` / ``request_timeout`` / ``request_retry`` / ``repair``
 events, so ``pmtree obs report`` works on serving artifacts unchanged.
@@ -43,7 +46,7 @@ events, so ``pmtree obs report`` works on serving artifacts unchanged.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 from repro.core.mapping import TreeMapping
 from repro.host.driver import Driver
@@ -251,9 +254,9 @@ class ServeEngine:
 
     # -- dispatch / service internals -----------------------------------------
 
-    def _dispatch(self, batch: Batch, cycle: int, access_index: int) -> dict[int, int]:
-        """Enqueue a batch's nodes onto the modules; returns remaining-item
-        counts keyed by request id."""
+    def _dispatch(self, batch: Batch, cycle: int, access_index: int) -> None:
+        """Enqueue a batch's nodes onto the modules and put its requests in
+        flight, with their remaining-item counts."""
         system = self.system
         rec = system.recorder
         if rec.enabled:
@@ -276,68 +279,13 @@ class ServeEngine:
             size=batch.size,
             conflicts=batch.conflicts,
         )
-        remaining: dict[int, int] = {}
-        mapping = self._mapping
         for req in batch.requests:
             req.dispatch_cycle = cycle
             req.attempts += 1
-            remaining[req.request_id] = req.size
-            colors = mapping.colors_of(req.nodes)
-            for offset, (node, color) in enumerate(zip(req.nodes, colors)):
-                system.modules[int(color)].enqueue(
-                    (req.request_id, offset), int(node)
-                )
+            self._requests[req.request_id] = req
+            self._remaining[req.request_id] = req.size
+            system.submit(req.nodes, key=req.request_id, mapping=self._mapping)
         self.tracker.on_dispatch(batch, cycle)
-        return remaining
-
-    def _step_modules(self, cycle: int) -> None:
-        """One service cycle: round-robin issue under the interconnect limit;
-        requests whose last item issues complete ``latency`` cycles later."""
-        system = self.system
-        rec = system.recorder
-        recording = rec.enabled
-        remaining = self._remaining
-        limit = system.interconnect.issue_limit(system.num_modules)
-        if recording:
-            for mod in system.modules:
-                if mod.queue:
-                    rec.event(
-                        "queue_depth",
-                        cycle=cycle,
-                        module=mod.module_id,
-                        depth=len(mod.queue),
-                    )
-        issued = 0
-        pending = sum(len(mod.queue) for mod in system.modules)
-        for off in range(system.num_modules):
-            if issued >= limit:
-                if recording and pending:
-                    rec.event(
-                        "stall", cycle=cycle, where="interconnect", pending=pending
-                    )
-                break
-            mod = system.modules[(cycle + off) % system.num_modules]
-            while issued < limit:
-                served = mod.step(cycle)
-                if served is None:
-                    break
-                issued += 1
-                if system.maybe_drop(mod, served, cycle):
-                    continue  # lost in flight; re-queued for another go
-                pending -= 1
-                request_id = served[0][0]
-                completion = cycle + mod.latency
-                if recording:
-                    rec.event(
-                        "complete",
-                        cycle=completion,
-                        module=mod.module_id,
-                        request=request_id,
-                    )
-                remaining[request_id] -= 1
-                if remaining[request_id] == 0:
-                    del remaining[request_id]
-                    heapq.heappush(self._completions, (completion, request_id))
 
     def _retire(self, cycle: int) -> int:
         """Complete requests whose last item finished by ``cycle``; returns
@@ -457,12 +405,7 @@ class ServeEngine:
         heap — aborting them would discard finished work."""
         remaining = self._remaining
         live = [req for req in batch.requests if req.request_id in remaining]
-        ids = {req.request_id for req in live}
-        for mod in self.system.modules:
-            if mod.queue:
-                mod.queue = deque(
-                    entry for entry in mod.queue if entry[0][0] not in ids
-                )
+        self.system.withdraw({req.request_id for req in live})
         for req in live:
             del remaining[req.request_id]
             self._requests.pop(req.request_id, None)
@@ -497,8 +440,6 @@ class ServeEngine:
             raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
         system = self.system
         system.reset()
-        for mod in system.modules:
-            mod.reset_queue()
         self._mapping = system.mapping
         self._failed_now = frozenset()
         rec = system.recorder
@@ -693,17 +634,28 @@ class ServeEngine:
                     batch = self.policy.form(eligible, self._mapping, avoid=avoid)
                     self.queue.remove(batch.requests)
                     self._access_index += 1
-                    for req in batch.requests:
-                        self._requests[req.request_id] = req
-                    self._remaining.update(
-                        self._dispatch(batch, cycle, self._access_index)
-                    )
+                    self._dispatch(batch, cycle, self._access_index)
                     self._current_batch = batch
                     self._batch_dispatched_at = cycle
-        # 4. service
+        # 4. service: a request whose last item issues completes ``latency``
+        # cycles later (every queued item belongs to a request in _remaining)
         with self._sp_service:
-            if self._remaining or any(mod.queue for mod in system.modules):
-                self._step_modules(cycle)
+            remaining = self._remaining
+            if remaining:
+                for mod, ((request_id, _), _), completion in system.issue(
+                    cycle, cycle
+                ):
+                    if rec.enabled:
+                        rec.event(
+                            "complete",
+                            cycle=completion,
+                            module=mod.module_id,
+                            request=request_id,
+                        )
+                    remaining[request_id] -= 1
+                    if remaining[request_id] == 0:
+                        del remaining[request_id]
+                        heapq.heappush(self._completions, (completion, request_id))
         self._cycle = cycle + 1
         return True
 
