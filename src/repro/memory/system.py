@@ -18,7 +18,12 @@ Two replay modes:
 Every mode — and open-loop replay and the serving engine — queues work
 through :meth:`ParallelMemorySystem.submit` and serves it one cycle at a
 time through :meth:`ParallelMemorySystem.issue`, the single statement of
-the cost model's service rule.
+the cost model's service rule.  The one exception is a barrier access on a
+unit-port crossbar with telemetry off, no faults pending and nothing queued:
+there no module ever waits on another, so :meth:`ParallelMemorySystem.access`
+takes the closed form (a module holding ``c`` items is busy ``c * latency``
+cycles) and updates exactly the state the ``issue`` loop, its reference,
+would.
 """
 
 from __future__ import annotations
@@ -72,6 +77,11 @@ class ParallelMemorySystem:
             for i in range(self.num_modules)
         ]
         self.record_latencies = record_latencies
+        # with one port per module a crossbar's issue limit of M never binds,
+        # so a barrier access can take the closed form (see ``access``)
+        self._unit_port_crossbar = (
+            type(self.interconnect) is Crossbar and module_ports == 1
+        )
         #: wall-clock span profiler (see :mod:`repro.obs.perf`): the drain
         #: loops run under a ``drain`` / ``open_loop`` span and count
         #: simulated cycles; the default null profiler is a free no-op
@@ -382,9 +392,55 @@ class ParallelMemorySystem:
     # -- public API ------------------------------------------------------------
 
     def access(self, nodes: np.ndarray, label: str = "") -> AccessResult:
-        """Simulate one parallel access to a set of tree nodes."""
+        """Simulate one parallel access to a set of tree nodes.
+
+        On a unit-port crossbar with nothing queued, no module failed, no
+        fault schedule, the recorder off and ``record_latencies`` off, each
+        module serves its ``c`` items back to back from cycle 0, so the
+        access costs ``max(c * latency)`` cycles and the loop would run
+        ``max((c - 1) * latency + 1)`` of them.  That closed form applies
+        exactly what :meth:`_arrive` + :meth:`_drain` would; everywhere else
+        the cycle loop runs.
+        """
         if np.size(nodes) == 0:
             raise ValueError("an access needs at least one node")
+        modules = self.modules
+        if (
+            self._unit_port_crossbar
+            and self._fault_schedule is None
+            and not self.record_latencies
+            and not self.recorder.enabled
+            and not any(mod.queue or mod.failed for mod in modules)
+        ):
+            nodes = np.asarray(nodes, dtype=np.int64)
+            counts = np.bincount(
+                self.mapping.colors_of(nodes), minlength=self.num_modules
+            )
+            cycles = rounds = 0
+            prof = self.profiler
+            with prof.span("drain"):
+                # plain comparisons, not max(): this loop is the access's cost
+                for mod, c in zip(modules, counts.tolist()):
+                    if c:
+                        busy = c * mod.latency
+                        mod.served += c
+                        mod.busy_cycles += busy
+                        if c > mod.max_queue_depth:
+                            mod.max_queue_depth = c
+                        mod._port_free = [busy]  # the last service ends here
+                        if busy > cycles:
+                            cycles = busy
+                        if busy - mod.latency >= rounds:
+                            rounds = busy - mod.latency + 1
+                    else:
+                        mod._port_free = [0]
+            if prof.enabled:
+                prof.count("cycles", rounds)
+            self.clock += rounds
+            self._rr_start = (self._rr_start + 1) % self.num_modules
+            return AccessResult(
+                cycles, int(counts.max() - 1), counts, int(nodes.size), label
+            )
         queued = self._arrive(nodes, label)
         cycles = self._drain()
         rec = self.recorder

@@ -25,9 +25,10 @@ Spans are reusable context managers cached per name::
     prof.throughput()    # {"wall_time_s": ..., "cycles_per_sec": ..., ...}
 
 **Self-overhead accounting.**  Each enabled span costs two
-``perf_counter()`` reads plus a couple of attribute writes.  The profiler
-measures that cost at construction (:attr:`PerfProfiler.span_cost_s`,
-best-of-batches over a throwaway span) and the phase table reports
+``perf_counter()`` reads plus a couple of attribute writes.  The first
+calibrated profiler in a process measures that cost
+(:attr:`PerfProfiler.span_cost_s`, best-of-batches over a throwaway span)
+and later ones reuse the measurement; the phase table reports
 ``self_s = total_s - calls * span_cost_s`` (clamped at zero) next to the
 raw ``total_s``, so nested spans and dense instrumentation do not inflate
 the recorded phase times.  The instrumented engine loop stays under 5% total
@@ -148,6 +149,18 @@ def measure_span_cost(samples: int = 4096, batches: int = 5) -> float:
     return best / samples
 
 
+#: the process's measured span cost, filled by the first calibrated profiler
+_calibrated_span_cost_s: float | None = None
+
+
+def _calibrated_span_cost() -> float:
+    """:func:`measure_span_cost`, measured once per process and then reused."""
+    global _calibrated_span_cost_s
+    if _calibrated_span_cost_s is None:
+        _calibrated_span_cost_s = measure_span_cost()
+    return _calibrated_span_cost_s
+
+
 class PerfProfiler(NullProfiler):
     """Accumulates span wall times, counters, and run throughput.
 
@@ -157,7 +170,8 @@ class PerfProfiler(NullProfiler):
 
     ``calibrate=False`` skips the span-cost measurement (``span_cost_s`` is
     then 0 and ``self_s == total_s``); useful in tests that construct many
-    profilers.
+    profilers.  Otherwise the process's first calibrated profiler measures
+    the cost and later ones reuse it.
     """
 
     enabled = True
@@ -165,7 +179,7 @@ class PerfProfiler(NullProfiler):
     def __init__(self, calibrate: bool = True):
         self._spans: dict[str, PerfSpan] = {}
         self.counters: dict[str, int] = {}
-        self.span_cost_s = measure_span_cost() if calibrate else 0.0
+        self.span_cost_s = _calibrated_span_cost() if calibrate else 0.0
         self.wall_time_s = 0.0
         self._wall_t0: float | None = None
 

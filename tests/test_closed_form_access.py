@@ -1,0 +1,266 @@
+"""The barrier access's closed form equals the cycle loop it short-cuts.
+
+On a unit-port crossbar with nothing queued, no failed module, no fault
+schedule, the recorder off and ``record_latencies`` off,
+:meth:`ParallelMemorySystem.access` skips the ``issue`` loop and applies the
+paper's closed form (a module holding ``c`` items is busy ``c * latency``
+cycles).  The reference here is the same system built with
+``record_latencies=True``, which always runs the loop and leaves
+``state_dict()`` unchanged.  The second half pins that the loop still runs
+whenever any one of the conditions fails.
+"""
+
+from contextlib import contextmanager
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.workloads import heap_workload, range_query_workload
+from repro.core import ColorMapping, LabelTreeMapping, ModuloMapping
+from repro.memory import (
+    Crossbar,
+    FaultModel,
+    FaultSchedule,
+    MemoryModule,
+    MultiBus,
+    ParallelMemorySystem,
+    SharedBus,
+    apply_faults,
+)
+from repro.obs import EventRecorder, PerfProfiler
+from repro.trees import CompleteBinaryTree
+
+TREE = CompleteBinaryTree(9)
+MAPPINGS = {
+    "color": ColorMapping.for_modules,
+    "label-tree": LabelTreeMapping,
+    "modulo": ModuloMapping,
+}
+
+
+@cache
+def _mapping(kind: str, M: int):
+    return MAPPINGS[kind](TREE, M)
+
+
+@contextmanager
+def _stepped():
+    """Collect the ``id`` of every module ``MemoryModule.step`` is called on
+    (modules are dataclasses, so equal state would compare equal)."""
+    stepped: list[int] = []
+    original = MemoryModule.step
+
+    def counted(module, now):
+        stepped.append(id(module))
+        return original(module, now)
+
+    MemoryModule.step = counted
+    try:
+        yield stepped
+    finally:
+        MemoryModule.step = original
+
+
+def _result(result):
+    return (
+        result.cycles,
+        result.conflicts,
+        result.module_counts.tolist(),
+        result.size,
+        result.label,
+    )
+
+
+def _pair(mapping, latencies=()):
+    """A closed-form system and its loop reference, with profilers."""
+    systems = [
+        ParallelMemorySystem(
+            mapping,
+            record_latencies=reference,
+            profiler=PerfProfiler(calibrate=False),
+        )
+        for reference in (False, True)
+    ]
+    for system in systems:
+        for module, latency in zip(system.modules, latencies):
+            module.set_base_latency(latency)
+    return systems
+
+
+def _assert_same(fast, ref, fast_result, ref_result):
+    assert _result(fast_result) == _result(ref_result)
+    assert fast.state_dict() == ref.state_dict()
+    assert fast.module_stats() == ref.module_stats()
+
+
+# one access: explicit nodes (repeats allowed), a single node, every node on
+# one module, or the previous access again
+access_specs = st.one_of(
+    st.tuples(
+        st.just("nodes"),
+        st.lists(
+            st.integers(min_value=0, max_value=TREE.num_nodes - 1),
+            min_size=1,
+            max_size=40,
+        ),
+    ),
+    st.tuples(st.just("single"), st.integers(0, TREE.num_nodes - 1)),
+    st.tuples(st.just("one-module"), st.integers(0, 15), st.integers(1, 12)),
+    st.tuples(st.just("repeat")),
+)
+
+
+def _nodes(spec, mapping, previous):
+    kind = spec[0]
+    if kind == "nodes":
+        return np.array(spec[1], dtype=np.int64)
+    if kind == "single":
+        return np.array([spec[1]], dtype=np.int64)
+    if kind == "one-module":
+        colors = mapping.color_array()
+        module = spec[1] % mapping.num_modules
+        on_module = np.flatnonzero(colors == module)
+        if on_module.size == 0:  # a module the mapping leaves unused
+            on_module = np.array([0], dtype=np.int64)
+        return on_module[: spec[2]]
+    return previous if previous is not None else np.array([0], dtype=np.int64)
+
+
+class TestClosedFormMatchesLoop:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(MAPPINGS)),
+        M=st.integers(min_value=3, max_value=16),
+        latencies=st.lists(st.integers(1, 3), min_size=16, max_size=16),
+        specs=st.lists(access_specs, min_size=1, max_size=10),
+    )
+    def test_every_access_matches(self, kind, M, latencies, specs):
+        mapping = _mapping(kind, M)
+        fast, ref = _pair(mapping, latencies[:M])
+        previous = None
+        with _stepped() as stepped:
+            for i, spec in enumerate(specs):
+                nodes = _nodes(spec, mapping, previous)
+                fast_result = fast.access(nodes, label=f"a{i}")
+                ref_result = ref.access(nodes, label=f"a{i}")
+                _assert_same(fast, ref, fast_result, ref_result)
+                previous = nodes
+        assert not set(stepped) & {id(module) for module in fast.modules}
+        assert set(stepped) & {id(module) for module in ref.modules}
+        assert (
+            fast.profiler.phase_table()["drain"]["calls"]
+            == ref.profiler.phase_table()["drain"]["calls"]
+            == len(specs)
+        )
+        assert fast.profiler.counters == ref.profiler.counters
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_heap_and_range_traces(self, kind):
+        mapping = _mapping(kind, 15)
+        fast, ref = _pair(mapping, [1, 2, 3] * 5)
+        trace = heap_workload(TREE, ops=60, seed=3)
+        trace.extend(range_query_workload(TREE, queries=20, seed=3))
+        for label, nodes in trace:
+            _assert_same(
+                fast, ref, fast.access(nodes, label), ref.access(nodes, label)
+            )
+        fast_stats, ref_stats = fast.run_trace(trace), ref.run_trace(trace)
+        assert fast_stats.per_label_cycles == ref_stats.per_label_cycles
+        assert fast.state_dict() == ref.state_dict()
+        assert fast.profiler.counters == ref.profiler.counters
+
+    def test_static_slow_fault(self):
+        """``apply_faults`` installs a base latency; the closed form holds."""
+        mapping = _mapping("color", 15)
+        fast, ref = (
+            apply_faults(mapping, FaultModel.parse("slow=3:2,slow=9:3"))
+            for _ in range(2)
+        )
+        ref.record_latencies = True
+        trace = heap_workload(TREE, ops=80, seed=5)
+        with _stepped() as stepped:
+            for label, nodes in trace:
+                _assert_same(
+                    fast, ref, fast.access(nodes, label), ref.access(nodes, label)
+                )
+        assert not set(stepped) & {id(module) for module in fast.modules}
+
+    def test_after_reset_and_load_state(self):
+        mapping = _mapping("label-tree", 7)
+        fast, ref = _pair(mapping, [2, 1, 1, 3, 1, 1, 2])
+        nodes = np.arange(40, dtype=np.int64)
+        fast.access(nodes)
+        ref.access(nodes)
+        fast.reset()
+        ref.reset()
+        _assert_same(fast, ref, fast.access(nodes), ref.access(nodes))
+        fast.load_state(ref.state_dict())
+        _assert_same(fast, ref, fast.access(nodes[::3]), ref.access(nodes[::3]))
+
+
+class TestLoopStillRuns:
+    """Each condition of the closed form, failed alone, sends ``access`` to
+    the cycle loop (``MemoryModule.step`` is called)."""
+
+    NODES = np.arange(30, dtype=np.int64)
+
+    def _steps(self, system, nodes=None):
+        with _stepped() as stepped:
+            system.access(self.NODES if nodes is None else nodes)
+        return len(stepped)
+
+    def test_all_conditions_hold_takes_the_closed_form(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        assert self._steps(system) == 0
+
+    def test_two_ports_can_hit_the_crossbar_limit(self):
+        # M=3, P=2: counts [2, 2, 2] want 6 issues in cycle 0, the limit is 3
+        system = ParallelMemorySystem(_mapping("modulo", 3), module_ports=2)
+        nodes = np.arange(6, dtype=np.int64)
+        assert self._steps(system, nodes) > 0
+        assert system.modules[0].served == 2
+
+    @pytest.mark.parametrize(
+        "interconnect", [SharedBus(), MultiBus(3)], ids=["bus", "multibus"]
+    )
+    def test_narrow_interconnect(self, interconnect):
+        system = ParallelMemorySystem(_mapping("modulo", 5), interconnect=interconnect)
+        assert self._steps(system) > 0
+
+    def test_crossbar_subclass(self):
+        class WideCrossbar(Crossbar):
+            pass
+
+        system = ParallelMemorySystem(_mapping("modulo", 5), interconnect=WideCrossbar())
+        assert self._steps(system) > 0
+
+    def test_attached_schedule(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        system.attach_faults(FaultSchedule.parse("slow=1:2@1000:2000,seed=1"))
+        assert self._steps(system) > 0
+
+    def test_enabled_recorder(self):
+        recorder = EventRecorder()
+        system = ParallelMemorySystem(_mapping("modulo", 5), recorder=recorder)
+        assert self._steps(system) > 0
+        assert recorder.events
+
+    def test_record_latencies(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5), record_latencies=True)
+        assert self._steps(system) > 0
+        assert system.last_latencies.size == self.NODES.size
+
+    def test_work_already_queued(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        system._arrive(np.array([0, 5], dtype=np.int64), "queued")
+        assert self._steps(system) > 0
+        assert sum(mod.served for mod in system.modules) == self.NODES.size + 2
+
+    def test_failed_module(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        system.modules[4].failed = True
+        nodes = self.NODES[self.NODES % 5 != 4]  # nothing waits on module 4
+        assert self._steps(system, nodes) > 0

@@ -144,6 +144,23 @@ class TestPerfProfiler:
     def test_measure_span_cost_positive(self):
         assert measure_span_cost(samples=256, batches=2) > 0.0
 
+    def test_calibration_runs_once_per_process(self, monkeypatch):
+        import repro.obs.perf as perf_mod
+
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return 1e-7
+
+        monkeypatch.setattr(perf_mod, "_calibrated_span_cost_s", None)
+        monkeypatch.setattr(perf_mod, "measure_span_cost", counted)
+        first, second = PerfProfiler(), PerfProfiler()
+        assert len(calls) == 1
+        assert first.span_cost_s == second.span_cost_s == 1e-7
+        assert PerfProfiler(calibrate=False).span_cost_s == 0.0
+        assert len(calls) == 1
+
 
 # -- engine integration --------------------------------------------------------
 
