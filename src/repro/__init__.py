@@ -16,7 +16,7 @@ Subpackages: :mod:`repro.trees` (tree substrate), :mod:`repro.templates`
 (S/L/P/C templates), :mod:`repro.core` (the paper's mappings),
 :mod:`repro.memory` (memory-system simulator), :mod:`repro.analysis`
 (conflict analysis and bounds), :mod:`repro.apps` (motivating applications),
-:mod:`repro.bench` (experiment harness E1..E13), :mod:`repro.obs`
+:mod:`repro.bench` (experiment harness E1..E22), :mod:`repro.obs`
 (cycle-level telemetry, reports, regression gating), :mod:`repro.serve`
 (online request serving with conflict-aware composite batching).
 """

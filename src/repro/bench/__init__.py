@@ -1,6 +1,6 @@
 """Experiment harness: the paper's results regenerated as measured tables.
 
-* :mod:`repro.bench.experiments` — registry E1..E19 (one per theorem/lemma);
+* :mod:`repro.bench.experiments` — registry E1..E22 (one per theorem/lemma);
 * :mod:`repro.bench.workloads` — application workload builders;
 * :mod:`repro.bench.report` — result records and table rendering;
 * :mod:`repro.bench.cli` — ``python -m repro.bench run all``.

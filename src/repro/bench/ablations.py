@@ -24,6 +24,7 @@ from repro.analysis import (
     load_report,
     local_search_composite,
 )
+from repro.bench.experiments import _full
 from repro.bench.report import ExperimentResult
 from repro.bench.workloads import heap_workload
 from repro.core import ColorMapping, LabelTreeMapping, label_tree_params, num_colors
@@ -32,10 +33,6 @@ from repro.templates import CompositeSampler, LTemplate, PTemplate, STemplate
 from repro.trees import CompleteBinaryTree
 
 __all__ = ["ABLATIONS"]
-
-
-def _full(scale: str) -> bool:
-    return scale != "quick"
 
 
 def a1_color_split(scale: str = "full") -> ExperimentResult:

@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from repro.bench.experiments import EXPERIMENTS, run_all, run_experiment
+from repro.bench.experiments import _registry, run_all, run_experiment
 from repro.bench.report import render_markdown
 
 __all__ = ["main"]
@@ -22,12 +22,15 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmtree-bench",
-        description="Regenerate the paper's quantitative results (see DESIGN.md E1-E13)",
+        description="Regenerate the paper's quantitative results "
+        "(see DESIGN.md Section 5 and EXPERIMENTS.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the experiment registry")
     run = sub.add_parser("run", help="run one experiment or 'all'")
-    run.add_argument("experiment", help="experiment id (E1..E19) or 'all'")
+    run.add_argument(
+        "experiment", help="experiment id (E1..E22, A1..A6, X1..X4; see `list`) or 'all'"
+    )
     run.add_argument(
         "--quick", action="store_true", help="reduced sweeps (CI-sized)"
     )
@@ -47,15 +50,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    registry = _registry()
     if args.command == "list":
-        from repro.bench.ablations import ABLATIONS
-
-        for exp_id, fn in {**EXPERIMENTS, **ABLATIONS}.items():
+        for exp_id, fn in registry.items():
             doc = (fn.__doc__ or "").strip().splitlines()
             summary = doc[0] if doc else ""
             print(f"{exp_id:4s} {fn.__name__}: {summary}")
         return 0
 
+    if args.experiment.lower() != "all" and args.experiment.upper() not in registry:
+        print(
+            f"pmtree-bench: unknown experiment {args.experiment!r}; "
+            f"choose from {', '.join(registry)} or 'all'",
+            file=sys.stderr,
+        )
+        return 2
     scale = "quick" if args.quick else "full"
     recorder = None
     if args.obs:

@@ -1,4 +1,4 @@
-"""The experiment registry: one function per paper result (E1..E13).
+"""The experiment registry: one function per paper result (E1..E22).
 
 Each experiment regenerates a theorem/lemma as a measured table (the paper is
 theoretical — Figs. 1-10 are diagrams, so "tables and figures" here means the
@@ -728,13 +728,7 @@ def e17_criteria_matrix(scale: str = "full") -> ExperimentResult:
 
 def e18_online_serving(scale: str = "full") -> ExperimentResult:
     """Online serving: greedy composite packing vs FIFO dispatch."""
-    from repro.serve import (
-        MixEntry,
-        PoissonClient,
-        ServeEngine,
-        TemplateMix,
-        batch_conflict_bound,
-    )
+    from repro.serve import EngineConfig, PoissonClient, TemplateMix, batch_conflict_bound
 
     result = ExperimentResult(
         exp_id="E18",
@@ -749,44 +743,36 @@ def e18_online_serving(scale: str = "full") -> ExperimentResult:
         "subtree/path/level mix over 4 Poisson clients; one batch in flight "
         "(the paper's round-group), crossbar with unit latency",
     )
-    tree = CompleteBinaryTree(11)
-    mapping = ColorMapping.max_parallelism(tree, 4)
-    mix = TemplateMix(
-        tree,
-        [MixEntry("subtree", 15), MixEntry("path", 11), MixEntry("level", 7)],
-    )
     c = 4
-    bound = batch_conflict_bound(c, mapping.k)
+    workload = "subtree:15=1,path:11=1,level:7=1"
+    mix = TemplateMix.parse(CompleteBinaryTree(11), workload)
     rates = (0.2, 0.4, 0.6) if _full(scale) else (0.4,)
     cycles = 1500 if _full(scale) else 800
-
-    def serve(policy: str, rate: float):
-        engine = ServeEngine(
-            ParallelMemorySystem(mapping), policy=policy, max_batch_components=c
-        )
-        clients = [
-            PoissonClient(i, mix, rate / 4, seed=100 + i) for i in range(4)
-        ]
-        report = engine.run(clients, max_cycles=cycles)
-        return report, engine.tracker
 
     for rate in rates:
         per_policy = {}
         for policy in ("fifo", "greedy-pack", "load-aware"):
-            report, tracker = serve(policy, rate)
+            engine = EngineConfig(
+                levels=11, modules=15, policy=policy, workload=workload,
+                batch_components=c,
+            ).build()[0]
+            # the experiment's own client seeds (100+i), not the config's
+            clients = [PoissonClient(i, mix, rate / 4, seed=100 + i) for i in range(4)]
+            report = engine.run(clients, max_cycles=cycles)
+            tracker, k = engine.tracker, engine.system.mapping.k
             per_policy[policy] = report
             worst = max(tracker.batch_conflicts) if tracker.batch_conflicts else 0
             result.add_row(
                 policy, rate, report.completed,
                 round(report.mean_rounds_per_request, 3),
                 report.latency["p50"], report.latency["p95"],
-                round(report.goodput, 3), worst, bound,
+                round(report.goodput, 3), worst, batch_conflict_bound(c, k),
             )
             if policy != "fifo":
                 # conflict-aware policies never exceed the composite bound
                 result.require(
                     all(
-                        f <= batch_conflict_bound(cc, mapping.k)
+                        f <= batch_conflict_bound(cc, k)
                         for f, cc in zip(
                             tracker.batch_conflicts, tracker.batch_components
                         )
@@ -810,9 +796,9 @@ def e18_online_serving(scale: str = "full") -> ExperimentResult:
 
 def e19_resilience(scale: str = "full") -> ExperimentResult:
     """Fault injection: repair mapping quality and serving under a schedule."""
-    from repro.memory import FaultSchedule, repair_comparison
+    from repro.memory import repair_comparison
     from repro.obs import EventRecorder
-    from repro.serve import PoissonClient, ServeEngine, TemplateMix
+    from repro.serve import EngineConfig, PoissonClient, TemplateMix
 
     result = ExperimentResult(
         exp_id="E19",
@@ -854,33 +840,23 @@ def e19_resilience(scale: str = "full") -> ExperimentResult:
         + ("fail=12@420:620," if _full(scale) else "")
         + f"drop=0.05@0:{cycles},seed=7"
     )
-    schedule = FaultSchedule.parse(spec)
     mix = TemplateMix.parse(tree, "composite:21x3=2,subtree:15=1,path:11=1")
-
-    def serve(repair: str, retry: bool):
-        recorder = EventRecorder()
-        system = ParallelMemorySystem(mapping, recorder=recorder)
-        system.attach_faults(schedule)
-        engine = ServeEngine(
-            system,
-            policy="greedy-pack",
-            retry_timeout=16 if retry else None,
-            max_retries=2,
-            repair=repair,
-        )
+    served = []
+    for name, repair, retry_timeout in (("serve:color+retry", "color", 16),
+                                        ("serve:oblivious", "oblivious", None)):
+        engine = EngineConfig(
+            levels=12, modules=15, faults=spec, repair=repair,
+            retry_timeout=retry_timeout, max_retries=2,
+        ).build(recorder=EventRecorder())[0]
         clients = [PoissonClient(0, mix, rate=0.35, seed=11)]
         report = engine.run(clients, max_cycles=cycles, drain_limit=50_000)
-        return report, recorder
-
-    resilient, rec = serve("color", retry=True)
-    oblivious, _ = serve("oblivious", retry=False)
-    for name, report in (("serve:color+retry", resilient),
-                         ("serve:oblivious", oblivious)):
+        served.append((report, engine.system))
         result.add_row(
             name, "schedule", "-", "-", "-",
             round(report.goodput, 3), report.retries,
             round(report.availability, 4),
         )
+    (resilient, system), (oblivious, _) = served
     # identical seeded arrivals -> goodput directly comparable
     result.require(resilient.arrivals == oblivious.arrivals)
     result.require(resilient.goodput > oblivious.goodput)
@@ -891,10 +867,10 @@ def e19_resilience(scale: str = "full") -> ExperimentResult:
     # -- part 3: every scheduled window shows up in the telemetry -------------
     injected = {
         (e["kind"], e.get("module", -1))
-        for e in rec.events
+        for e in system.recorder.events
         if e["ev"] == "fault_inject"
     }
-    expected = {(w.kind, w.module) for w in schedule.windows}
+    expected = {(w.kind, w.module) for w in system.fault_schedule.windows}
     result.require(injected == expected)
     return result
 
@@ -909,12 +885,12 @@ def e20_durability(scale: str = "full") -> ExperimentResult:
     import tempfile
     from pathlib import Path
 
-    from repro.memory import FaultSchedule
     from repro.obs import EventRecorder
     from repro.serve import (
         CrashPlan,
+        DurableServer,
+        EngineConfig,
         PoissonClient,
-        ServeEngine,
         ServeJournal,
         TemplateMix,
         assert_equivalent,
@@ -938,34 +914,25 @@ def e20_durability(scale: str = "full") -> ExperimentResult:
         "across the crash points, repair=color with the retry ladder on; "
         "checkpoints every 100 cycles, journal verified during replay",
     )
-    tree = CompleteBinaryTree(10)
-    mapping = ColorMapping.for_modules(tree, 7)
     cycles = 600
     spec = (
         "fail=2@100:260,slow=4:3@150:450,"
         + ("fail=5@350:520," if _full(scale) else "")
         + f"drop=0.05@50:{cycles},seed=5"
     )
-    mix_spec = "subtree:7=2,path:6=1,level:4=1"
+    config = EngineConfig(
+        levels=10, modules=7, workload="subtree:7=2,path:6=1,level:4=1",
+        faults=spec, repair="color", retry_timeout=40, queue_capacity=128,
+    )
+    mix = TemplateMix.parse(CompleteBinaryTree(10), config.workload)
 
-    def factory(recorded: bool = True):
-        recorder = EventRecorder() if recorded else None
-        system = ParallelMemorySystem(mapping, recorder=recorder)
-        system.attach_faults(FaultSchedule.parse(spec))
-        engine = ServeEngine(
-            system,
-            policy="greedy-pack",
-            retry_timeout=40,
-            repair="color",
-            queue_capacity=128,
-        )
-        clients = [
-            PoissonClient(i, mix, 0.06, seed=100 + i) for i in range(3)
-        ]
-        return engine, clients
+    def fresh_run(recorded: bool = True):
+        """A config-built engine and the experiment's own client seeds
+        (100+i): what a restarted process rebuilds."""
+        engine = config.build(recorder=EventRecorder() if recorded else None)[0]
+        return engine, [PoissonClient(i, mix, 0.06, seed=100 + i) for i in range(3)]
 
-    mix = TemplateMix.parse(tree, mix_spec)
-    engine, clients = factory()
+    engine, clients = fresh_run()
     baseline = engine.run(clients, max_cycles=cycles, drain_limit=50_000)
     base_events = list(engine.system.recorder.events)
 
@@ -980,7 +947,7 @@ def e20_durability(scale: str = "full") -> ExperimentResult:
             for at in crash_cycles:
                 state_dir = Path(tmp) / f"{mode}-{at}"
                 outcome = run_with_recovery(
-                    factory,
+                    fresh_run,
                     state_dir,
                     cycles,
                     drain_limit=50_000,
@@ -1008,9 +975,7 @@ def e20_durability(scale: str = "full") -> ExperimentResult:
         # checkpoint overhead in the production configuration: without the
         # obs recorder a snapshot is small serving state, not a telemetry
         # buffer, so this is the number a deployment would see
-        from repro.serve import DurableServer
-
-        engine, clients = factory(recorded=False)
+        engine, clients = fresh_run(recorded=False)
         server = DurableServer(
             engine, clients, Path(tmp) / "overhead", checkpoint_every=100
         )
@@ -1031,8 +996,10 @@ def e20_durability(scale: str = "full") -> ExperimentResult:
 
 def e21_fleet(scale: str = "full") -> ExperimentResult:
     """Sharded multi-tenant fleet: scaling, affinity containment, failover."""
-    from repro.fleet import FleetCoordinator, heavy_tailed_tenants
-    from repro.serve import BurstyClient, PoissonClient, ServeEngine, TemplateMix
+    from dataclasses import replace
+
+    from repro.fleet import FleetConfig
+    from repro.serve import BurstyClient, PoissonClient, TemplateMix
     from repro.serve.clients import spawn_seeds
 
     result = ExperimentResult(
@@ -1056,29 +1023,21 @@ def e21_fleet(scale: str = "full") -> ExperimentResult:
         "failover: kill shard 2 at half-run under rate 3.5, least-loaded",
     )
 
-    def make_shards(n: int) -> list:
-        shards = []
-        for _ in range(n):
-            tree = CompleteBinaryTree(10)
-            mapping = ColorMapping.for_modules(tree, 15)
-            shards.append(
-                ServeEngine(ParallelMemorySystem(mapping), policy="greedy-pack")
-            )
-        return shards
-
+    base = FleetConfig(
+        shards=4, router="least-loaded", levels=10, modules=15,
+        workload="subtree:15=1,path:9=1,level:7=1", seed=5,
+    )
     tree = CompleteBinaryTree(10)
 
     # -- part 1: goodput scales >= 0.8x linear from 1 to 4 shards -------------
     cycles = 600 if _full(scale) else 300
-    workload = "subtree:15=1,path:9=1,level:7=1"
     goodput = {}
     for num_shards in (1, 4):
-        population = heavy_tailed_tenants(
-            tree, 4 * num_shards, workload, 1.0 * num_shards, seed=5
-        )
-        report = FleetCoordinator(
-            make_shards(num_shards), router="least-loaded"
-        ).run(population.clients, cycles)
+        coordinator, population, _, _ = replace(
+            base, shards=num_shards, tenants=4 * num_shards,
+            arrival_rate=1.0 * num_shards,
+        ).build()
+        report = coordinator.run(population.clients, cycles)
         goodput[num_shards] = report.goodput
         result.add_row(
             "scaling", num_shards, "least-loaded", round(report.goodput, 3),
@@ -1123,9 +1082,8 @@ def e21_fleet(scale: str = "full") -> ExperimentResult:
     for seed in (0, 1, 2):
         p95 = {}
         for router in ("affinity", "round-robin"):
-            report = FleetCoordinator(make_shards(4), router=router).run(
-                noisy_population(seed), burst_cycles
-            )
+            coordinator = replace(base, router=router).build()[0]
+            report = coordinator.run(noisy_population(seed), burst_cycles)
             p95[router] = report.p95
             result.add_row(
                 f"noisy-neighbour:seed={seed}", 4, router,
@@ -1140,15 +1098,12 @@ def e21_fleet(scale: str = "full") -> ExperimentResult:
     kill_cycles = 1200 if _full(scale) else 600
     kill_at = kill_cycles // 2
 
-    def capacity_population() -> list:
-        return heavy_tailed_tenants(tree, 12, workload, 3.5, seed=5).clients
-
-    control = FleetCoordinator(make_shards(4), router="least-loaded").run(
-        capacity_population(), kill_cycles
-    )
-    killed = FleetCoordinator(
-        make_shards(4), router="least-loaded", kills=[f"2@{kill_at}"]
-    ).run(capacity_population(), kill_cycles)
+    capacity = replace(base, tenants=12, arrival_rate=3.5)
+    reports = []
+    for kills in (None, [f"2@{kill_at}"]):
+        coordinator, population, _, _ = replace(capacity, kill_shard_at=kills).build()
+        reports.append(coordinator.run(population.clients, kill_cycles))
+    control, killed = reports
     result.add_row(
         "failover:control", 4, "least-loaded", round(control.goodput, 3),
         control.p95, round(control.availability, 4), control.rerouted,
@@ -1185,16 +1140,10 @@ def e21_fleet(scale: str = "full") -> ExperimentResult:
 def e22_selfheal(scale: str = "full") -> ExperimentResult:
     """Kill/restart soak: the supervised fleet heals, balances, and replays."""
     import tempfile
+    from dataclasses import replace
     from pathlib import Path
 
-    from repro.fleet import (
-        FleetCoordinator,
-        FleetSupervisor,
-        diff_fleet_reports,
-        heavy_tailed_tenants,
-    )
-    from repro.memory.faults import FaultSchedule, per_shard_schedules
-    from repro.serve import ServeEngine
+    from repro.fleet import FleetConfig, diff_fleet_reports
     from repro.serve.durability import SimulatedCrash
 
     cycles = 900 if _full(scale) else 450
@@ -1224,40 +1173,13 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         f"{checkpoint_every} cycles",
     )
 
-    def shard_schedule(shard: int) -> FaultSchedule:
-        base = FaultSchedule.parse(fault_spec)
-        return per_shard_schedules(base, shards)[shard]
-
-    def build_engine(shard: int) -> ServeEngine:
-        tree = CompleteBinaryTree(8)
-        mapping = ColorMapping.for_modules(tree, 7)
-        system = ParallelMemorySystem(mapping)
-        system.attach_faults(shard_schedule(shard))
-        return ServeEngine(system, policy="greedy-pack")
-
-    def make_fleet(kills):
-        engines = [build_engine(i) for i in range(shards)]
-        coordinator = FleetCoordinator(
-            engines, router="least-loaded", kills=kills
-        )
-        return coordinator, build_engine
-
-    def population():
-        tree = CompleteBinaryTree(8)
-        return heavy_tailed_tenants(tree, 8, workload, 4.0, seed=7).clients
-
     kills = [f"{shard + 1}@{at}" for shard, at in enumerate(kill_at)]
-
-    def supervised(state_dir, crash_at=None):
-        coordinator, factory = make_fleet(kills)
-        return FleetSupervisor(
-            coordinator,
-            factory=factory,
-            state_dir=state_dir,
-            checkpoint_every=checkpoint_every,
-            restart_after=restart_after,
-            crash_at=crash_at,
-        )
+    config = FleetConfig(
+        shards=shards, router="least-loaded", levels=8, modules=7,
+        workload=workload, tenants=8, arrival_rate=4.0, seed=7,
+        faults=fault_spec, kill_shard_at=kills, restart_after=restart_after,
+        checkpoint_every=checkpoint_every,
+    )
 
     def identity(report) -> bool:
         return (
@@ -1269,7 +1191,10 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # -- (a) kill/restart soak: >= 3 restarts, exactly-once ---------------
-        healed = supervised(tmp / "healed").serve(population(), cycles)
+        coordinator, population, _, factory = config.build()
+        healed = config.supervise(coordinator, factory, tmp / "healed").serve(
+            population.clients, cycles
+        )
         result.add_row(
             "soak:healed", healed.restarts, round(healed.goodput, 3),
             round(healed.availability, 4), healed.fleet_shed,
@@ -1281,7 +1206,10 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         result.require(identity(healed))
 
         # -- (b) determinism: identical re-run, and crash + recover -----------
-        rerun = supervised(tmp / "rerun").serve(population(), cycles)
+        coordinator, population, _, factory = config.build()
+        rerun = config.supervise(coordinator, factory, tmp / "rerun").serve(
+            population.clients, cycles
+        )
         rerun_diffs = diff_fleet_reports(healed, rerun)
         result.add_row(
             "determinism:rerun", rerun.restarts, round(rerun.goodput, 3),
@@ -1291,14 +1219,19 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         result.require(rerun_diffs == [])
 
         crash_at = kill_at[-1] + restart_after + checkpoint_every
+        coordinator, population, _, factory = config.build()
+        crashing = config.supervise(
+            coordinator, factory, tmp / "crashed", crash_at=crash_at
+        )
         try:
-            supervised(tmp / "crashed", crash_at=crash_at).serve(
-                population(), cycles
-            )
+            crashing.serve(population.clients, cycles)
             result.require(False)  # the crash must fire
         except SimulatedCrash:
             pass
-        recovered = supervised(tmp / "crashed").recover(population())
+        coordinator, population, _, factory = config.build()
+        recovered = config.supervise(coordinator, factory, tmp / "crashed").recover(
+            population.clients
+        )
         recovered_diffs = diff_fleet_reports(healed, recovered)
         result.add_row(
             "determinism:crash+recover", recovered.restarts,
@@ -1309,8 +1242,11 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         result.require(recovered_diffs == [])
 
         # -- (c) restarts strictly beat failover-only -------------------------
-        failover_coord, _ = make_fleet(kills)
-        failover = FleetSupervisor(failover_coord).serve(population(), cycles)
+        failover_only = replace(config, restart_after=None)
+        coordinator, population, _, factory = failover_only.build()
+        failover = failover_only.supervise(coordinator, factory).serve(
+            population.clients, cycles
+        )
         result.add_row(
             "failover-only", failover.restarts, round(failover.goodput, 3),
             round(failover.availability, 4), failover.fleet_shed,
@@ -1365,6 +1301,6 @@ def run_experiment(exp_id: str, scale: str = "full") -> ExperimentResult:
 
 
 def run_all(scale: str = "full", include_ablations: bool = True) -> list[ExperimentResult]:
-    """Run the whole registry in order (E1..E13, then A1..A6)."""
+    """Run the whole registry in order (E1..E22, then A1..A6 and X1..X4)."""
     registry = _registry() if include_ablations else EXPERIMENTS
     return [fn(scale) for fn in registry.values()]

@@ -5,8 +5,9 @@ fields are the ``pmtree fleet`` flags that shape the run, with their
 defaults; the JSON form is the ``config.json`` a supervised fleet keeps in
 its state dir; :meth:`FleetConfig.build` is the one place a config becomes
 a coordinator, its tenant population and the shard-engine factory.
-``pmtree fleet``, ``recover --fleet`` and the perf matrix all build
-through it.
+``pmtree fleet``, ``recover --fleet``, the perf matrix, experiments E21
+and E22 and their bench scripts all build through it (E21's noisy-neighbour
+run passes its own bursty clients to the built coordinator).
 """
 
 from __future__ import annotations

@@ -7,8 +7,11 @@ A serving run is fully determined by the paper's parameters — tree height
 those.  Its field defaults are the ``pmtree serve`` flag defaults, its JSON
 form is the ``config.json`` a durable run keeps in its state dir, and
 :meth:`EngineConfig.build` is the one place a config becomes an engine and
-its clients: ``pmtree serve``, ``recover`` and ``daemon`` and the perf
-matrix all build through it.
+its clients: ``pmtree serve``, ``recover`` and ``daemon``, the perf
+matrix, and experiments E18–E20 and their bench scripts all build through
+it.  The experiments keep their own explicitly seeded clients (seeds
+``100+i`` or ``11``, not :func:`~repro.serve.clients.spawn_seeds`) and
+use only the engine (and recorder) that :meth:`EngineConfig.build` returns.
 
 :class:`JsonConfig` is that JSON form, shared with
 :class:`~repro.fleet.config.FleetConfig`.

@@ -91,6 +91,17 @@ class TestRegistry:
             assert result.exp_id == exp_id
             assert result.rows
 
+    def test_unknown_id_is_one_line_and_exit_2(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        telemetry = tmp_path / "run.jsonl"
+        assert main(["run", "E99", "--obs", str(telemetry)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "'E99'" in err
+        assert "E22" in err and "A6" in err and "X4" in err
+        assert not telemetry.exists()  # checked before any recorder is set up
+
 
 class TestSweepAndCharts:
     def _mappings(self):
