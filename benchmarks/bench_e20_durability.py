@@ -104,7 +104,7 @@ def test_e20_checkpoint_overhead_within_budget(tmp_path):
 
 
 def test_bench_checkpoint_capture(benchmark):
-    """Time one EngineSnapshot.capture + JSON encode of a mid-run engine."""
+    """Time one engine.checkpoint() + JSON encode of a mid-run engine."""
     engine, clients = _fresh_run(recorded=False)
     engine.start(clients, CYCLES, drain_limit=50_000)
     for _ in range(300):

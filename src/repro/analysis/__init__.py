@@ -22,7 +22,7 @@ from repro.analysis.conflicts import (
     sampled_family_cost,
 )
 from repro.analysis.load import LoadReport, load_report
-from repro.analysis.graphs import GraphStats, conflict_graph_stats, conflict_nx_graph
+from repro.analysis.graphs import GraphStats, conflict_graph_stats
 from repro.analysis.spectrum import ConflictSpectrum, conflict_spectrum
 from repro.analysis.optimal import (
     cf_modules_required,
@@ -45,7 +45,6 @@ __all__ = [
     "ConflictSpectrum",
     "GraphStats",
     "conflict_graph_stats",
-    "conflict_nx_graph",
     "conflict_spectrum",
     "LoadReport",
     "bounds",

@@ -1,9 +1,9 @@
-"""Conflict graphs as networkx objects, with structural diagnostics.
+"""Structural diagnostics of the conflict graph.
 
 The coloring problem of Section 1.1 is graph coloring of the *conflict
-graph* (one clique per template instance).  :func:`conflict_nx_graph` builds
-it as a :class:`networkx.Graph`, and :func:`conflict_graph_stats` reports the
-structural quantities that explain the module counts:
+graph* (one clique per template instance, built by
+:func:`repro.analysis.optimal.conflict_graph`).  :func:`conflict_graph_stats`
+reports the structural quantities that explain the module counts:
 
 * the max clique **is** the largest template instance, giving the trivial
   lower bound on modules;
@@ -16,13 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
-from repro.analysis.optimal import conflict_graph
-from repro.templates.base import TemplateFamily, TemplateInstance
+from repro.analysis.optimal import conflict_graph, greedy_colors
+from repro.templates.base import TemplateFamily
 from repro.trees import CompleteBinaryTree
 
-__all__ = ["conflict_nx_graph", "conflict_graph_stats", "GraphStats"]
+__all__ = ["conflict_graph_stats", "GraphStats"]
 
 
 @dataclass(frozen=True)
@@ -43,42 +41,21 @@ class GraphStats:
         )
 
 
-def conflict_nx_graph(
-    tree: CompleteBinaryTree,
-    families: Iterable[TemplateFamily],
-) -> nx.Graph:
-    """The union-of-cliques conflict graph of ``families`` on ``tree``."""
-    instances: list[TemplateInstance] = []
-    for fam in families:
-        instances.extend(fam.instances(tree))
-    adj = conflict_graph(instances, tree.num_nodes)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(tree.num_nodes))
-    for u, neighbors in enumerate(adj):
-        graph.add_edges_from((u, v) for v in neighbors if v > u)
-    return graph
-
-
 def conflict_graph_stats(
     tree: CompleteBinaryTree,
     families: Iterable[TemplateFamily],
 ) -> GraphStats:
-    """Structural diagnostics of the conflict graph."""
+    """Structural diagnostics of the conflict graph of ``families`` on ``tree``."""
     families = list(families)
-    graph = conflict_nx_graph(tree, families)
-    clique = max((fam.size for fam in families), default=1)
-    greedy = (
-        max(nx.greedy_color(graph, strategy="largest_first").values()) + 1
-        if graph.number_of_nodes()
-        else 0
-    )
-    degrees = [deg for _, deg in graph.degree()]
-    n = graph.number_of_nodes()
+    instances = [inst for fam in families for inst in fam.instances(tree)]
+    adj = conflict_graph(instances, tree.num_nodes)
+    n = len(adj)
+    edges = sum(len(neighbors) for neighbors in adj) // 2
     return GraphStats(
         nodes=n,
-        edges=graph.number_of_edges(),
-        max_degree=max(degrees, default=0),
-        clique_lower_bound=clique,
-        greedy_upper_bound=greedy,
-        density=2 * graph.number_of_edges() / (n * (n - 1)) if n > 1 else 0.0,
+        edges=edges,
+        max_degree=max((len(neighbors) for neighbors in adj), default=0),
+        clique_lower_bound=max((fam.size for fam in families), default=1),
+        greedy_upper_bound=greedy_colors(adj),
+        density=2 * edges / (n * (n - 1)) if n > 1 else 0.0,
     )

@@ -294,6 +294,23 @@ def cmd_serve(args) -> int:
     return _finish_serve(report, recorder, config.obs)
 
 
+def _recover_serve(args) -> int:
+    from repro.serve import DurableServer
+
+    state_dir = Path(args.state_dir)
+    config = _load_config(EngineConfig, state_dir, "pmtree serve --state-dir")
+    engine, clients, recorder = config.build()
+    server = DurableServer(
+        engine, clients, state_dir, checkpoint_every=config.checkpoint_every
+    )
+    report = server.recover()
+    print(
+        f"recovered: replayed {server.replayed_records} journal records, "
+        f"{server.checkpoints_written} new checkpoints"
+    )
+    return _finish_serve(report, recorder, args.obs or config.obs)
+
+
 def _recover_fleet(args) -> int:
     state_dir = Path(args.fleet)
     config = _load_config(FleetConfig, state_dir, "pmtree fleet --shard-state-dir")
@@ -308,27 +325,19 @@ def _recover_fleet(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    from repro.serve import DurableServer
+    from repro.serve import DurabilityError
 
     if bool(args.state_dir) == bool(args.fleet):
         raise SystemExit(
             "pass exactly one of --state-dir (durable serve run) or "
             "--fleet (supervised fleet run)"
         )
-    if args.fleet:
-        return _recover_fleet(args)
-    state_dir = Path(args.state_dir)
-    config = _load_config(EngineConfig, state_dir, "pmtree serve --state-dir")
-    engine, clients, recorder = config.build()
-    server = DurableServer(
-        engine, clients, state_dir, checkpoint_every=config.checkpoint_every
-    )
-    report = server.recover()
-    print(
-        f"recovered: replayed {server.replayed_records} journal records, "
-        f"{server.checkpoints_written} new checkpoints"
-    )
-    return _finish_serve(report, recorder, args.obs or config.obs)
+    try:
+        return _recover_fleet(args) if args.fleet else _recover_serve(args)
+    except DurabilityError as exc:
+        # a state dir that loads but cannot be resumed: one line, exit 2
+        print(f"pmtree recover: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_daemon(args) -> int:

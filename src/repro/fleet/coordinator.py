@@ -57,13 +57,9 @@ from repro.memory.faults import FaultSchedule, FaultWindow
 from repro.memory.stats import latency_summary
 from repro.obs.events import NullRecorder
 from repro.serve.clients import Client
-from repro.serve.durability import (
-    DurabilityError,
-    instance_from_json,
-    instance_to_json,
-)
+from repro.serve.durability import DurabilityError
 from repro.serve.engine import ServeEngine
-from repro.serve.request import Request
+from repro.serve.request import Request, instance_from_json, instance_to_json
 from repro.serve.slo import SLOTracker
 from repro.templates.base import TemplateInstance
 
@@ -317,12 +313,7 @@ class FleetCoordinator:
     def shard_load(self, shard: int) -> int:
         """Backlog items a shard holds: routed-but-unpolled feed entries,
         admitted + blocked queue items, and the in-flight batch."""
-        engine = self.shards[shard]
-        load = self._feeds[shard].backlog_items
-        load += engine.queue.pending_items
-        load += sum(req.size for req in engine.queue.waiting)
-        load += sum(req.size for req in engine._requests.values())
-        return load
+        return self._feeds[shard].backlog_items + self.shards[shard].held_items
 
     def _steppable(self, shard: int) -> bool:
         return self._health[shard] in ("alive", "suspected")
@@ -406,7 +397,7 @@ class FleetCoordinator:
         self._death_cycle[shard] = cycle
         engine = self.shards[shard]
         work: list[tuple[TemplateInstance, str]] = list(self._feeds[shard].drain())
-        for req in self._held_requests(engine):
+        for req in engine.held_requests():
             label = req.tenant if req.tenant is not None else str(req.client_id)
             work.append((req.instance, label))
         self.router.on_shard_down(shard, self)
@@ -441,23 +432,6 @@ class FleetCoordinator:
                     shard=target,
                     size=instance.size,
                 )
-
-    @staticmethod
-    def _held_requests(engine: ServeEngine):
-        """Every *unsettled* request an engine holds, deduped.
-
-        The in-flight table (``_requests``) covers the current batch's
-        still-running members; the batch object itself is deliberately not
-        scanned — it keeps listing requests that already retired mid-batch,
-        and re-routing those would double-execute them.
-        """
-        seen: set[int] = set()
-        held = list(engine.queue.pending) + list(engine.queue.waiting)
-        held += list(engine._requests.values())
-        for req in held:
-            if req.request_id not in seen:
-                seen.add(req.request_id)
-                yield req
 
     # -- restart / rejoin ------------------------------------------------------
 
@@ -500,13 +474,7 @@ class FleetCoordinator:
             self.shards[shard] = engine
         engine = self.shards[shard]
         purged = self._reconcile(shard, engine)
-        # align the engine's run window with the fleet clock: module clocks
-        # and fault cursors catch up on the shard's first step
-        engine._cycle = self._cycle
-        engine._max_cycles = self._max_cycles
-        engine._drain = self._drain
-        engine._drain_limit = self._drain_limit
-        engine._active = True
+        engine.align_run(self._cycle, self._max_cycles, self._drain, self._drain_limit)
         self._kills.pop(shard, None)
         self._set_health(shard, "alive", self._cycle)
         self._engine_done[shard] = False
@@ -535,29 +503,9 @@ class FleetCoordinator:
         arrivals, in-flight table, current batch, pending completions and
         module queues; its feed re-fills with fresh routed arrivals only.
         """
-        purged = self._purge_engine(engine)
+        purged = engine.purge()
         self._feeds[shard]._incoming.clear()
         self._reconciled += purged
-        return purged
-
-    def _purge_engine(self, engine: ServeEngine) -> int:
-        """Strip every held request from an engine; returns how many.
-
-        Used on a restored shard (:meth:`_reconcile`) and on every shard at
-        :meth:`start`: a single engine deliberately carries a previous
-        non-drained run's queue into the next run, but a fleet re-run must
-        be hermetic — a shard that died holding work would otherwise leak
-        it into the re-run and break byte-identical replay.
-        """
-        purged = sum(1 for _ in self._held_requests(engine))
-        engine.queue.pending = []
-        engine.queue.waiting = deque()
-        engine._requests = {}
-        engine._current_batch = None
-        engine._batch_dispatched_at = 0
-        engine._completions = []
-        engine._remaining = {}
-        engine.system.clear_queues()
         return purged
 
     # -- main loop -------------------------------------------------------------
@@ -595,7 +543,10 @@ class FleetCoordinator:
         self._clients = list(clients)
         self.reset()
         for shard, engine in enumerate(self.shards):
-            self._purge_engine(engine)
+            # a single engine carries a non-drained run's queue into its next
+            # run, but a fleet re-run must be hermetic: a shard that died
+            # holding work would otherwise leak it into the re-run
+            engine.purge()
             engine.start(
                 [self._feeds[shard]], max_cycles, drain=drain, drain_limit=drain_limit
             )
@@ -797,8 +748,8 @@ class FleetCoordinator:
         """JSON-serializable coordinator state at a cycle boundary.
 
         Shard *engine* state is deliberately not included — each shard
-        checkpoints its own
-        :class:`~repro.serve.durability.EngineSnapshot`; this captures
+        engine has its own
+        :meth:`~repro.serve.engine.ServeEngine.state_dict`; this captures
         everything the coordinator layers on top: health, the failover
         ledger, router placement, feeds, quotas, counters and the tenant
         clients' RNG/pacing state.  ``id()``-keyed ledger entries are
@@ -930,7 +881,7 @@ class FleetCoordinator:
                 instance = self._feeds[shard]._incoming[int(key)][0]
                 self._rerouted_live.add(id(instance))
             else:
-                for req in self._held_requests(self.shards[shard]):
+                for req in self.shards[shard].held_requests():
                     if req.request_id == int(key):
                         self._rerouted_live.add(id(req.instance))
                         break
@@ -957,7 +908,7 @@ class FleetCoordinator:
                 # a dead engine still holds stale aliases of the instances
                 # that were re-routed off it; the live copy is elsewhere
                 continue
-            for req in self._held_requests(engine):
+            for req in engine.held_requests():
                 if id(req.instance) in unresolved:
                     unresolved.discard(id(req.instance))
                     locators.append(["engine", shard, req.request_id])

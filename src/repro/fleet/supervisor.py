@@ -168,12 +168,12 @@ class FleetSupervisor:
     @property
     def cycle(self) -> int:
         """The fleet's clock (delegates to the coordinator)."""
-        return self.coordinator._cycle
+        return self.coordinator.cycle
 
     @property
     def active(self) -> bool:
         """True between :meth:`start` and the fleet's natural end."""
-        return self.coordinator._active
+        return self.coordinator.active
 
     @property
     def manifest_path(self) -> Path:
@@ -274,8 +274,8 @@ class FleetSupervisor:
         if rec.enabled:
             rec.event(
                 "restore",
-                cycle=self.coordinator._cycle,
-                snapshot=self.coordinator._cycle,
+                cycle=self.coordinator.cycle,
+                snapshot=self.coordinator.cycle,
                 fleet=True,
             )
         return self._loop()
@@ -316,7 +316,7 @@ class FleetSupervisor:
                     drain=bool(manifest["drain"]),
                     drain_limit=int(manifest["drain_limit"]),
                 )
-                engine._active = False
+                engine.deactivate()
             coord.shards[shard] = engine
             if state in ("alive", "suspected"):
                 journal = self.stores[shard].recover_journal()
@@ -362,14 +362,14 @@ class FleetSupervisor:
         return coord.finish()
 
     def _crash(self, coord: FleetCoordinator) -> None:
-        raise SimulatedCrash(f"fleet crash injected at cycle {coord._cycle}")
+        raise SimulatedCrash(f"fleet crash injected at cycle {coord.cycle}")
 
     def _after_step(self, coord: FleetCoordinator) -> None:
         self._note_deaths()
         self._run_due_restarts()
 
     def _write_checkpoints(self, coord: FleetCoordinator) -> None:
-        cycle = coord._cycle
+        cycle = coord.cycle
         rec = coord.recorder
         if rec.enabled:
             rec.event("checkpoint", cycle=cycle, fleet=True)
@@ -422,11 +422,11 @@ class FleetSupervisor:
         if not self._pending:
             return
         coord = self.coordinator
-        cycle = coord._cycle
+        cycle = coord.cycle
         due = sorted(s for s, at in self._pending.items() if cycle >= at)
         for shard in due:
             del self._pending[shard]
-            if not coord._active:
+            if not coord.active:
                 continue
             self._attempts[shard] = self._attempts.get(shard, 0) + 1
             self._restore_shard(shard)
@@ -459,7 +459,7 @@ class FleetSupervisor:
                     if rec.enabled:
                         rec.event(
                             "shard_restore",
-                            cycle=coord._cycle,
+                            cycle=coord.cycle,
                             shard=shard,
                             how="checkpoint",
                             snapshot=snapshot.cycle,
@@ -485,14 +485,14 @@ class FleetSupervisor:
                     and entry.get("request") is not None
                 ]
                 if admitted:
-                    engine._next_id = max(engine._next_id, max(admitted) + 1)
+                    engine.reserve_ids(max(admitted) + 1)
                 journal.profiler = engine.profiler
                 engine.journal = journal
                 coord.rejoin(shard, engine, how="journal")
                 if rec.enabled:
                     rec.event(
                         "shard_restore",
-                        cycle=coord._cycle,
+                        cycle=coord.cycle,
                         shard=shard,
                         how="journal",
                     )
@@ -515,7 +515,7 @@ class FleetSupervisor:
             coord.rejoin(shard, engine, how="fresh")
             if rec.enabled:
                 rec.event(
-                    "shard_restore", cycle=coord._cycle, shard=shard, how="fresh"
+                    "shard_restore", cycle=coord.cycle, shard=shard, how="fresh"
                 )
             return True
         except Exception:
@@ -524,7 +524,7 @@ class FleetSupervisor:
             if rec.enabled:
                 rec.event(
                     "shard_restore",
-                    cycle=coord._cycle,
+                    cycle=coord.cycle,
                     shard=shard,
                     how="abandoned",
                 )

@@ -60,11 +60,8 @@ from repro.obs.sinks import EventSink
 from repro.serve.batching import make_policy
 from repro.serve.clients import Client, _elementary_family
 from repro.serve.config import EngineConfig
-from repro.serve.durability import (
-    DurableServer,
-    instance_from_json,
-    instance_to_json,
-)
+from repro.serve.durability import DurableServer
+from repro.serve.request import instance_from_json, instance_to_json
 from repro.templates.composite import CompositeSampler
 
 __all__ = ["ServeDaemon", "SubmitFeed", "QueueSink"]

@@ -207,18 +207,14 @@ class MetricsRegistry:
                 hist.counts = [int(c) for c in metric["counts"]]
                 hist.total = int(metric["total"])
                 hist.sum = float(metric["sum"])
-                hist.max_seen = (
-                    -math.inf if metric["max"] is None else float(metric["max"])
-                )
+                # extremes keep their JSON number type: a live int max must
+                # not come back as a float and change the next snapshot
+                hist.max_seen = -math.inf if metric["max"] is None else metric["max"]
             else:  # gauge
                 gauge = registry.gauge(name)
                 gauge.value = metric["value"]
-                gauge.min_seen = (
-                    math.inf if metric["min"] is None else float(metric["min"])
-                )
-                gauge.max_seen = (
-                    -math.inf if metric["max"] is None else float(metric["max"])
-                )
+                gauge.min_seen = math.inf if metric["min"] is None else metric["min"]
+                gauge.max_seen = -math.inf if metric["max"] is None else metric["max"]
         return registry
 
     def expose_text(self, prefix: str = "pmtree") -> str:

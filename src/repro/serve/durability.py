@@ -8,13 +8,14 @@ crash recovery provable rather than merely plausible, and this module
 proves it with three pieces:
 
 :class:`EngineSnapshot`
-    a versioned, JSON-serializable checkpoint of the full serving state:
-    the engine's request table and id counter, admission queue contents,
-    SLO counters, per-module queues and port clocks, the system's lifetime
-    clock, the fault-schedule cursor, repair-cache keys, and every RNG
-    state.  :meth:`ServeEngine.checkpoint` / :meth:`ServeEngine.restore`
-    round-trip through it; :func:`repro.io.save_snapshot` adds a CRC and an
-    atomic write.
+    the versioned envelope of one checkpoint: the cycle it was taken at,
+    the journal position it covers, and the engine's own
+    :meth:`~repro.serve.engine.ServeEngine.state_dict` (request table, id
+    counter, admission queue, SLO counters, module queues and port clocks,
+    fault-schedule cursor, repair-cache keys, every RNG state).
+    :meth:`ServeEngine.checkpoint` / :meth:`ServeEngine.restore` round-trip
+    through it; :func:`repro.io.save_snapshot` adds a CRC and an atomic
+    write.
 
 :class:`ServeJournal`
     an append-only JSONL write-ahead log of ``admit`` / ``dispatch`` /
@@ -46,14 +47,11 @@ equivalence comparison via :data:`CONTROL_EVENTS`.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
-from collections import deque
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.host.driver import Driver
 from repro.io import (
@@ -63,13 +61,11 @@ from repro.io import (
     snapshot_document,
 )
 from repro.obs.perf import NULL_PROFILER
-from repro.serve.batching import Batch, _elementary_components
 from repro.serve.clients import Client
-from repro.serve.engine import ServeEngine
-from repro.serve.request import Request
 from repro.serve.slo import WALL_CLOCK_FIELDS, ServeReport
-from repro.templates.base import TemplateInstance
-from repro.templates.composite import CompositeInstance, make_composite
+
+if TYPE_CHECKING:  # the engine imports this module for its snapshot envelope
+    from repro.serve.engine import ServeEngine
 
 __all__ = [
     "CONTROL_EVENTS",
@@ -87,11 +83,7 @@ __all__ = [
     "assert_equivalent",
     "diff_reports",
     "filter_control",
-    "instance_from_json",
-    "instance_to_json",
     "journal_accounting",
-    "request_from_json",
-    "request_to_json",
     "run_with_recovery",
 ]
 
@@ -134,84 +126,20 @@ class SimulatedCrash(RuntimeError):
     """Raised by the crash harness at the planned kill point."""
 
 
-# -- instance / request serialization -----------------------------------------
-
-
-def instance_to_json(instance: TemplateInstance) -> dict:
-    if isinstance(instance, CompositeInstance):
-        return {
-            "kind": "composite",
-            "components": [instance_to_json(c) for c in instance.components],
-        }
-    return {
-        "kind": instance.kind,
-        "nodes": [int(n) for n in instance.nodes],
-        "anchor": int(instance.anchor),
-    }
-
-
-def instance_from_json(payload: dict) -> TemplateInstance:
-    if payload["kind"] == "composite":
-        return make_composite(
-            [instance_from_json(c) for c in payload["components"]]
-        )
-    return TemplateInstance(
-        kind=payload["kind"],
-        nodes=np.array(payload["nodes"], dtype=np.int64),
-        anchor=int(payload["anchor"]),
-    )
-
-
-def request_to_json(request: Request) -> dict:
-    return {
-        "id": request.request_id,
-        "client": request.client_id,
-        "tenant": request.tenant,
-        "instance": instance_to_json(request.instance),
-        "arrival": request.arrival_cycle,
-        "deadline": request.deadline,
-        "admit": request.admit_cycle,
-        "dispatch": request.dispatch_cycle,
-        "complete": request.complete_cycle,
-        "degraded": request.degraded,
-        "attempts": request.attempts,
-        "timeouts": request.timeouts,
-        "retry_at": request.retry_at,
-    }
-
-
-def request_from_json(payload: dict) -> Request:
-    return Request(
-        request_id=int(payload["id"]),
-        client_id=int(payload["client"]),
-        # snapshots from before multi-tenancy have no tenant: None makes the
-        # rebuilt request default it from the client id, as the engine would
-        tenant=payload.get("tenant"),
-        instance=instance_from_json(payload["instance"]),
-        arrival_cycle=int(payload["arrival"]),
-        deadline=None if payload["deadline"] is None else int(payload["deadline"]),
-        admit_cycle=int(payload["admit"]),
-        dispatch_cycle=int(payload["dispatch"]),
-        complete_cycle=int(payload["complete"]),
-        degraded=int(payload["degraded"]),
-        attempts=int(payload["attempts"]),
-        timeouts=int(payload["timeouts"]),
-        retry_at=int(payload["retry_at"]),
-    )
-
-
 # -- engine snapshot -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EngineSnapshot:
-    """A cycle-boundary-consistent checkpoint of one serving run.
+    """The versioned envelope of one serving-run checkpoint.
 
     ``cycle`` is the next cycle the restored run will execute; ``seqno`` is
     the journal position the snapshot covers (every record with a smaller
     seqno is already folded into the state, every later one will be
-    re-emitted — and verified — by re-execution).  ``state`` is the full
-    JSON-serializable payload; persist it with
+    re-emitted — and verified — by re-execution).  ``state`` is the
+    engine's :meth:`~repro.serve.engine.ServeEngine.state_dict`.  Take one
+    with :meth:`ServeEngine.checkpoint`, resume with
+    :meth:`ServeEngine.restore`, persist ``to_json()`` with
     :func:`repro.io.save_snapshot`.
     """
 
@@ -219,188 +147,6 @@ class EngineSnapshot:
     cycle: int
     seqno: int
     state: dict
-
-    @classmethod
-    def capture(cls, engine: ServeEngine) -> "EngineSnapshot":
-        """Snapshot a running engine between :meth:`~ServeEngine.step` calls."""
-        # one shared registry: the same Request object may sit in the
-        # in-flight table, the queue, and the current batch at once
-        requests: dict[int, Request] = {}
-        for req in engine._requests.values():
-            requests.setdefault(req.request_id, req)
-        for req in engine.queue.pending:
-            requests.setdefault(req.request_id, req)
-        for req in engine.queue.waiting:
-            requests.setdefault(req.request_id, req)
-        batch = engine._current_batch
-        if batch is not None:
-            for req in batch.requests:
-                requests.setdefault(req.request_id, req)
-        batch_state = None
-        if batch is not None:
-            # the batch's costing is pinned at dispatch time (the effective
-            # mapping may have changed since), so store it rather than
-            # recomputing against the restore-time mapping
-            batch_state = {
-                "ids": [req.request_id for req in batch.requests],
-                "dispatched_at": engine._batch_dispatched_at,
-                "module_counts": [int(c) for c in batch.module_counts],
-                "conflicts": batch.conflicts,
-                "num_components": batch.num_components,
-            }
-        state = {
-            "config": {
-                "policy": engine.policy.name,
-                "admission": engine.queue.policy,
-                "queue_capacity": engine.queue.capacity,
-                "repair": engine.repair,
-                "num_modules": engine.system.num_modules,
-            },
-            "next_id": engine._next_id,
-            "failed_now": sorted(engine._failed_now),
-            "repair_keys": [sorted(key) for key in engine._repair_cache],
-            "requests": {
-                str(rid): request_to_json(req) for rid, req in requests.items()
-            },
-            "inflight": sorted(engine._requests),
-            "queue": {
-                "pending": [req.request_id for req in engine.queue.pending],
-                "waiting": [req.request_id for req in engine.queue.waiting],
-            },
-            "batch": batch_state,
-            "run": {
-                "max_cycles": engine._max_cycles,
-                "drain": engine._drain,
-                "drain_limit": engine._drain_limit,
-                "cycle": engine._cycle,
-                "access_index": engine._access_index,
-                "active": engine._active,
-                "completions": [list(entry) for entry in engine._completions],
-                "remaining": {
-                    str(rid): n for rid, n in engine._remaining.items()
-                },
-            },
-            "tracker": engine.tracker.state_dict(),
-            "system": engine.system.state_dict(),
-            "clients": {
-                str(client.client_id): client.state_dict()
-                for client in engine._clients
-            },
-            "recorder": (
-                engine.system.recorder.state_dict()
-                if engine.system.recorder.enabled
-                else None
-            ),
-        }
-        seqno = engine.journal.position if engine.journal is not None else 0
-        return cls(
-            version=SNAPSHOT_VERSION,
-            cycle=engine._cycle,
-            seqno=seqno,
-            state=state,
-        )
-
-    def restore_into(self, engine: ServeEngine, clients: list[Client]) -> None:
-        """Load this snapshot into a freshly configured engine + clients."""
-        if self.version != SNAPSHOT_VERSION:
-            raise DurabilityError(
-                f"snapshot version {self.version} unsupported "
-                f"(expected {SNAPSHOT_VERSION})"
-            )
-        state = self.state
-        config = state["config"]
-        live = {
-            "policy": engine.policy.name,
-            "admission": engine.queue.policy,
-            "queue_capacity": engine.queue.capacity,
-            "repair": engine.repair,
-            "num_modules": engine.system.num_modules,
-        }
-        mismatched = {
-            key: (config[key], live[key])
-            for key in live
-            if config.get(key) != live[key]
-        }
-        if mismatched:
-            raise DurabilityError(
-                f"engine configuration does not match the snapshot: {mismatched}"
-            )
-        clients_by_id = {client.client_id: client for client in clients}
-        snap_clients = state["clients"]
-        if set(snap_clients) != {str(cid) for cid in clients_by_id}:
-            raise DurabilityError(
-                f"client ids {sorted(clients_by_id)} do not match the "
-                f"snapshot's {sorted(snap_clients)}"
-            )
-        registry = {
-            int(rid): request_from_json(payload)
-            for rid, payload in state["requests"].items()
-        }
-        engine._next_id = int(state["next_id"])
-        engine._requests = {rid: registry[rid] for rid in state["inflight"]}
-        engine.queue.pending = [
-            registry[rid] for rid in state["queue"]["pending"]
-        ]
-        engine.queue.waiting = deque(
-            registry[rid] for rid in state["queue"]["waiting"]
-        )
-        batch_state = state["batch"]
-        if batch_state is None:
-            engine._current_batch = None
-            engine._batch_dispatched_at = 0
-        else:
-            engine._current_batch = self._rebuild_batch(batch_state, registry)
-            engine._batch_dispatched_at = int(batch_state["dispatched_at"])
-        run = state["run"]
-        engine._max_cycles = int(run["max_cycles"])
-        engine._drain = bool(run["drain"])
-        engine._drain_limit = int(run["drain_limit"])
-        engine._cycle = int(run["cycle"])
-        engine._access_index = int(run["access_index"])
-        engine._active = bool(run["active"])
-        completions = [tuple(entry) for entry in run["completions"]]
-        heapq.heapify(completions)
-        engine._completions = completions
-        engine._remaining = {
-            int(rid): int(n) for rid, n in run["remaining"].items()
-        }
-        engine.tracker.load_state(state["tracker"])
-        engine.system.load_state(state["system"])
-        # rebuild the repair cache (deterministic per failed set) in its
-        # snapshotted LRU order, then bind the effective dispatch mapping
-        engine._repair_cache.clear()
-        for key in state["repair_keys"]:
-            engine._repair_mapping(frozenset(int(m) for m in key))
-        engine._failed_now = frozenset(int(m) for m in state["failed_now"])
-        engine._mapping = engine._repair_mapping(engine._failed_now)
-        for client in clients:
-            client.load_state(snap_clients[str(client.client_id)])
-        engine._clients = list(clients)
-        engine._clients_by_id = clients_by_id
-        recorder_state = state["recorder"]
-        if recorder_state is not None and engine.system.recorder.enabled:
-            engine.system.recorder.load_state(recorder_state)
-
-    @staticmethod
-    def _rebuild_batch(batch_state: dict, registry: dict[int, Request]) -> Batch:
-        reqs = tuple(registry[int(rid)] for rid in batch_state["ids"])
-        nodes = np.concatenate([req.nodes for req in reqs])
-        parts = _elementary_components(reqs)
-        composite = None
-        if parts is not None and len(parts) > 1:
-            composite = make_composite(parts)
-        return Batch(
-            requests=reqs,
-            nodes=nodes,
-            module_counts=np.array(
-                batch_state["module_counts"], dtype=np.int64
-            ),
-            conflicts=int(batch_state["conflicts"]),
-            num_components=int(batch_state["num_components"]),
-            composite=composite,
-        )
-
-    # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
@@ -647,7 +393,7 @@ class CheckpointStore:
         """
         with engine.profiler.span("checkpoint"):
             snapshot = engine.checkpoint()
-            save_snapshot(snapshot.to_json(), self.snapshot_path(engine._cycle))
+            save_snapshot(snapshot.to_json(), self.snapshot_path(snapshot.cycle))
         self.prune()
         return snapshot
 
@@ -729,9 +475,6 @@ class DurableServer:
     def manifest_path(self) -> Path:
         return self.state_dir / "run.json"
 
-    def _snapshot_path(self, cycle: int) -> Path:
-        return self.store.snapshot_path(cycle)
-
     @property
     def checkpoint_overhead(self) -> float:
         """Wall-clock fraction the run spent writing checkpoints."""
@@ -798,7 +541,7 @@ class DurableServer:
         self.journal = self.store.recover_journal()
         self.journal.profiler = self.engine.profiler
         engine = self.engine
-        snapshot = self._latest_snapshot()
+        snapshot = self.store.latest_snapshot()
         if snapshot is None:
             self.journal.seek_replay(0)
             engine.journal = self.journal
@@ -819,15 +562,11 @@ class DurableServer:
         if rec.enabled:
             rec.event(
                 "restore",
-                cycle=engine._cycle,
+                cycle=engine.cycle,
                 snapshot=restored_from,
                 seqno=self.journal.position,
             )
         return self._loop()
-
-    def _latest_snapshot(self) -> EngineSnapshot | None:
-        """Newest snapshot that loads and checksums cleanly, else ``None``."""
-        return self.store.latest_snapshot()
 
     # -- the supervised loop ---------------------------------------------------
 
@@ -850,7 +589,7 @@ class DurableServer:
                 if rec.enabled:
                     rec.event(
                         "journal_replay",
-                        cycle=engine._cycle,
+                        cycle=engine.cycle,
                         records=journal.replay_total,
                     )
 
@@ -881,13 +620,13 @@ class DurableServer:
             # emitted before capture, so the snapshot itself remembers that
             # a checkpoint happened here (WAL convention: log, then act)
             rec.event(
-                "checkpoint", cycle=engine._cycle, seqno=self.journal.position
+                "checkpoint", cycle=engine.cycle, seqno=self.journal.position
             )
         started = time.perf_counter()
         self.store.write_snapshot(engine)
         self.checkpoint_seconds += time.perf_counter() - started
         self.checkpoints_written += 1
-        self.driver.last_checkpoint = engine._cycle
+        self.driver.last_checkpoint = engine.cycle
 
     def _crash(self, plan: CrashPlan) -> None:
         engine = self.engine
@@ -895,13 +634,13 @@ class DurableServer:
             # a torn snapshot at the final path, as if the writer died
             # mid-write with no atomic-rename protection
             doc = snapshot_document(engine.checkpoint().to_json())
-            self._snapshot_path(engine._cycle).write_text(doc[: len(doc) // 2])
+            self.store.snapshot_path(engine.cycle).write_text(doc[: len(doc) // 2])
         elif plan.mode == "torn_journal":
             # a partial record at the journal tail (no trailing newline)
             self.journal._fh.write('{"crc": 1234567, "rec": {"seq": ')
             self.journal._fh.flush()
         raise SimulatedCrash(
-            f"simulated crash at cycle {engine._cycle} ({plan.mode})"
+            f"simulated crash at cycle {engine.cycle} ({plan.mode})"
         )
 
 

@@ -46,16 +46,28 @@ events, so ``pmtree obs report`` works on serving artifacts unchanged.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import chain
+from typing import Iterator
+
+import numpy as np
 
 from repro.core.mapping import TreeMapping
 from repro.host.driver import Driver
 from repro.memory.system import ParallelMemorySystem
 from repro.obs.perf import NULL_PROFILER, NullProfiler
-from repro.serve.batching import Batch, BatchPolicy, make_policy
+from repro.serve.batching import Batch, BatchPolicy, _elementary_components, make_policy
 from repro.serve.clients import Client
-from repro.serve.request import AdmissionQueue, Request, degrade_instance
+from repro.serve.durability import SNAPSHOT_VERSION, DurabilityError, EngineSnapshot
+from repro.serve.request import (
+    AdmissionQueue,
+    Request,
+    degrade_instance,
+    request_from_json,
+    request_to_json,
+)
 from repro.serve.slo import ServeReport, SLOTracker
+from repro.templates.composite import make_composite
 
 __all__ = ["REPAIR_MODES", "ServeEngine"]
 
@@ -178,13 +190,13 @@ class ServeEngine:
         #: write-ahead journal hook (see :mod:`repro.serve.durability`);
         #: ``None`` keeps the engine journal-free
         self.journal = None
-        self._next_id = 0  # plain int so checkpoints can capture it
+        self._next_id = 0
         self._requests: dict[int, Request] = {}  # in flight, by id
         self._mapping: TreeMapping = system.mapping  # effective (repair) mapping
         self._failed_now: frozenset[int] = frozenset()
         self._repair_cache: OrderedDict[frozenset[int], TreeMapping] = OrderedDict()
-        # per-run state, owned by start()/step()/finish() (promoted to
-        # attributes so checkpoints can capture a run mid-flight)
+        # per-run state, owned by start()/step()/finish(); state_dict() and
+        # load_state() carry all of it, so a run resumes mid-flight
         self._clients: list[Client] = []
         self._clients_by_id: dict[int, Client] = {}
         self._max_cycles = 0
@@ -707,26 +719,260 @@ class ServeEngine:
             clients, max_cycles, drain=drain, drain_limit=drain_limit
         )
 
-    # -- checkpoint / restore ----------------------------------------------------
+    # -- held work and the run window (fleet failover and rejoin) ---------------
 
-    def checkpoint(self):
-        """Capture the full serving state as an
-        :class:`~repro.serve.durability.EngineSnapshot` (cycle-boundary
-        consistent: call between :meth:`step` invocations)."""
-        from repro.serve.durability import EngineSnapshot
+    def held_requests(self) -> Iterator[Request]:
+        """Every *unsettled* request the engine holds, deduped: admitted,
+        blocked and in flight.
 
-        return EngineSnapshot.capture(self)
-
-    def restore(self, snapshot, clients: list[Client]) -> None:
-        """Resume a run from a snapshot captured by :meth:`checkpoint`.
-
-        ``clients`` must be freshly constructed with the same configuration
-        as the checkpointed run's; their RNG and pacing state is overwritten
-        from the snapshot.  After restore, :meth:`step` continues the run
-        bit-exactly — including fault windows and the drop lottery.
+        The in-flight table covers the current batch's still-running
+        members; the batch object itself is deliberately not scanned — it
+        keeps listing requests that already retired mid-batch, and handing
+        those out again (a fleet re-routing them) would double-execute them.
         """
-        from repro.serve.durability import EngineSnapshot
+        seen: set[int] = set()
+        held = [*self.queue.pending, *self.queue.waiting, *self._requests.values()]
+        for req in held:
+            if req.request_id not in seen:
+                seen.add(req.request_id)
+                yield req
 
+    @property
+    def held_items(self) -> int:
+        """Items (tree nodes) the engine holds: admitted and blocked queue
+        entries plus the requests in flight."""
+        return (
+            self.queue.pending_items
+            + sum(req.size for req in self.queue.waiting)
+            + sum(req.size for req in self._requests.values())
+        )
+
+    def purge(self) -> int:
+        """Strip every held request — queue, blocked arrivals, in-flight
+        table, current batch, pending completions and module queues;
+        returns how many requests :meth:`held_requests` listed."""
+        purged = sum(1 for _ in self.held_requests())
+        self.queue.pending = []
+        self.queue.waiting = deque()
+        self._requests = {}
+        self._current_batch = None
+        self._batch_dispatched_at = 0
+        self._completions = []
+        self._remaining = {}
+        self.system.clear_queues()
+        return purged
+
+    def align_run(
+        self, cycle: int, max_cycles: int, drain: bool, drain_limit: int
+    ) -> None:
+        """Re-arm the run window at ``cycle`` and mark the run active.
+
+        A fleet rejoin moves a restored engine onto the fleet clock this
+        way; module clocks and fault cursors catch up on the next step.
+        """
+        self._cycle = cycle
+        self._max_cycles = max_cycles
+        self._drain = drain
+        self._drain_limit = drain_limit
+        self._active = True
+
+    def deactivate(self) -> None:
+        """End the run without a report: :meth:`step` returns ``False``."""
+        self._active = False
+
+    def reserve_ids(self, upto: int) -> None:
+        """Never hand out a request id below ``upto`` (ids a journal already
+        recorded stay unique when a fresh engine carries it forward)."""
+        self._next_id = max(self._next_id, upto)
+
+    # -- state protocol ----------------------------------------------------------
+
+    def _config_key(self) -> dict:
+        """The configuration a snapshot must be restored into."""
+        return {
+            "policy": self.policy.name,
+            "admission": self.queue.policy,
+            "queue_capacity": self.queue.capacity,
+            "repair": self.repair,
+            "num_modules": self.system.num_modules,
+        }
+
+    def state_dict(self) -> dict:
+        """The full serving state, JSON-serializable, between :meth:`step`
+        calls: the request table and id counter, admission queue, in-flight
+        batch with its pinned costing, run window, SLO tracker, memory
+        system, clients, repair-cache keys and recorder buffer."""
+        batch = self._current_batch
+        # one shared registry: the same Request object may sit in the
+        # in-flight table, the queue, and the current batch at once
+        requests: dict[int, Request] = {}
+        for req in chain(
+            self._requests.values(),
+            self.queue.pending,
+            self.queue.waiting,
+            batch.requests if batch is not None else (),
+        ):
+            requests.setdefault(req.request_id, req)
+        batch_state = None
+        if batch is not None:
+            # the batch's costing is pinned at dispatch time (the effective
+            # mapping may have changed since), so store it rather than
+            # recomputing against the restore-time mapping
+            batch_state = {
+                "ids": [req.request_id for req in batch.requests],
+                "dispatched_at": self._batch_dispatched_at,
+                "module_counts": [int(c) for c in batch.module_counts],
+                "conflicts": batch.conflicts,
+                "num_components": batch.num_components,
+            }
+        recorder = self.system.recorder
+        return {
+            "config": self._config_key(),
+            "next_id": self._next_id,
+            "failed_now": sorted(self._failed_now),
+            "repair_keys": [sorted(key) for key in self._repair_cache],
+            "requests": {
+                str(rid): request_to_json(req) for rid, req in requests.items()
+            },
+            "inflight": sorted(self._requests),
+            "queue": {
+                "pending": [req.request_id for req in self.queue.pending],
+                "waiting": [req.request_id for req in self.queue.waiting],
+            },
+            "batch": batch_state,
+            "run": {
+                "max_cycles": self._max_cycles,
+                "drain": self._drain,
+                "drain_limit": self._drain_limit,
+                "cycle": self._cycle,
+                "access_index": self._access_index,
+                "active": self._active,
+                "completions": [list(entry) for entry in self._completions],
+                "remaining": {str(rid): n for rid, n in self._remaining.items()},
+            },
+            "tracker": self.tracker.state_dict(),
+            "system": self.system.state_dict(),
+            "clients": {
+                str(client.client_id): client.state_dict()
+                for client in self._clients
+            },
+            "recorder": recorder.state_dict() if recorder.enabled else None,
+        }
+
+    def load_state(self, state: dict, clients: list[Client]) -> None:
+        """Resume from a :meth:`state_dict` capture.
+
+        Call on a freshly configured engine; ``clients`` must be freshly
+        built with the captured run's configuration — their RNG and pacing
+        state is overwritten from ``state``.  After this, :meth:`step`
+        continues the run bit-exactly, fault windows and the drop lottery
+        included.  Raises :class:`~repro.serve.durability.DurabilityError`
+        when the engine configuration or the client ids differ from the
+        capture's, or when a field is missing or ill-typed.
+        """
+        try:
+            self._load_state(state, clients)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DurabilityError(
+                f"snapshot state is missing or has an ill-typed field: {exc!r}"
+            ) from exc
+
+    def _load_state(self, state: dict, clients: list[Client]) -> None:
+        config = state["config"]
+        live = self._config_key()
+        mismatched = {
+            key: (config.get(key), live[key])
+            for key in live
+            if config.get(key) != live[key]
+        }
+        if mismatched:
+            raise DurabilityError(
+                f"engine configuration does not match the snapshot: {mismatched}"
+            )
+        clients_by_id = {client.client_id: client for client in clients}
+        snap_clients = state["clients"]
+        if set(snap_clients) != {str(cid) for cid in clients_by_id}:
+            raise DurabilityError(
+                f"client ids {sorted(clients_by_id)} do not match the "
+                f"snapshot's {sorted(snap_clients)}"
+            )
+        registry = {
+            int(rid): request_from_json(payload)
+            for rid, payload in state["requests"].items()
+        }
+        self._next_id = int(state["next_id"])
+        self._requests = {rid: registry[rid] for rid in state["inflight"]}
+        self.queue.pending = [registry[rid] for rid in state["queue"]["pending"]]
+        self.queue.waiting = deque(
+            registry[rid] for rid in state["queue"]["waiting"]
+        )
+        batch_state = state["batch"]
+        if batch_state is None:
+            self._current_batch = None
+            self._batch_dispatched_at = 0
+        else:
+            self._current_batch = _rebuild_batch(batch_state, registry)
+            self._batch_dispatched_at = int(batch_state["dispatched_at"])
+        run = state["run"]
+        self._max_cycles = int(run["max_cycles"])
+        self._drain = bool(run["drain"])
+        self._drain_limit = int(run["drain_limit"])
+        self._cycle = int(run["cycle"])
+        self._access_index = int(run["access_index"])
+        self._active = bool(run["active"])
+        completions = [tuple(entry) for entry in run["completions"]]
+        heapq.heapify(completions)
+        self._completions = completions
+        self._remaining = {int(rid): int(n) for rid, n in run["remaining"].items()}
+        self.tracker.load_state(state["tracker"])
+        self.system.load_state(state["system"])
+        # rebuild the repair cache (deterministic per failed set) in its
+        # snapshotted LRU order, then bind the effective dispatch mapping
+        self._repair_cache.clear()
+        for key in state["repair_keys"]:
+            self._repair_mapping(frozenset(int(m) for m in key))
+        self._failed_now = frozenset(int(m) for m in state["failed_now"])
+        self._mapping = self._repair_mapping(self._failed_now)
+        for client in clients:
+            client.load_state(snap_clients[str(client.client_id)])
+        self._clients = list(clients)
+        self._clients_by_id = clients_by_id
+        recorder_state = state["recorder"]
+        if recorder_state is not None and self.system.recorder.enabled:
+            self.system.recorder.load_state(recorder_state)
+
+    def checkpoint(self) -> EngineSnapshot:
+        """:meth:`state_dict` in its versioned envelope, stamped with the
+        cycle and the journal position it covers."""
+        return EngineSnapshot(
+            version=SNAPSHOT_VERSION,
+            cycle=self._cycle,
+            seqno=self.journal.position if self.journal is not None else 0,
+            state=self.state_dict(),
+        )
+
+    def restore(self, snapshot: EngineSnapshot, clients: list[Client]) -> None:
+        """Resume a run from a snapshot taken by :meth:`checkpoint` (see
+        :meth:`load_state` for what ``clients`` must be)."""
         if not isinstance(snapshot, EngineSnapshot):
             raise TypeError(f"expected an EngineSnapshot, got {type(snapshot)!r}")
-        snapshot.restore_into(self, clients)
+        if snapshot.version != SNAPSHOT_VERSION:
+            raise DurabilityError(
+                f"snapshot version {snapshot.version} unsupported "
+                f"(expected {SNAPSHOT_VERSION})"
+            )
+        self.load_state(snapshot.state, clients)
+
+
+def _rebuild_batch(batch_state: dict, registry: dict[int, Request]) -> Batch:
+    """The in-flight batch of a capture, with its dispatch-time costing."""
+    reqs = tuple(registry[int(rid)] for rid in batch_state["ids"])
+    parts = _elementary_components(reqs)
+    return Batch(
+        requests=reqs,
+        nodes=np.concatenate([req.nodes for req in reqs]),
+        module_counts=np.array(batch_state["module_counts"], dtype=np.int64),
+        conflicts=int(batch_state["conflicts"]),
+        num_components=int(batch_state["num_components"]),
+        composite=make_composite(parts) if parts is not None and len(parts) > 1 else None,
+    )

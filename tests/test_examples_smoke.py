@@ -28,10 +28,31 @@ def test_quickstart(capsys):
     assert "stored in module" in out
 
 
+#: the example's stdout, pinned while ``conflict_graph_stats`` still ran on
+#: networkx, so rebuilding it on :mod:`repro.analysis.optimal` is checked
+LOWER_BOUND_STDOUT = """\
+exact chromatic number of the S(K)+P(N) conflict graph:
+
+N  k  K  conflict edges  clique bound  chromatic (exact)  N+K-k (Thm 2)
+-  -  -  --------------  ------------  -----------------  -------------
+3  1  1              10             3                  3              3
+3  2  3              13             3                  4              4
+4  2  3              41             4                  5              5
+5  2  3             113             5                  6              6
+4  3  7              65             7                  8              8
+
+proof witness: every TP_K(i, N-k) instance has exactly {6} = {N + K - k} nodes,
+and any mapping CF on S(K) and P(N) must color each one rainbow.
+
+COLOR(N=5, k=2) meets the bound with M = 6: S cost 0, P cost 0, TP cost 0 (all conflict-free).
+"""
+
+
 def test_lower_bound(capsys):
     out = _run_example("lower_bound", capsys)
     assert "chromatic" in out
     assert "all conflict-free" in out
+    assert out == LOWER_BOUND_STDOUT
 
 
 def test_range_query(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.host.daemon import QueueSink, ServeDaemon, SubmitFeed
 from repro.serve import DurableServer, EngineConfig
-from repro.serve.durability import instance_to_json
+from repro.serve.request import instance_to_json
 from repro.trees import CompleteBinaryTree
 
 

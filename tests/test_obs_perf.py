@@ -8,10 +8,12 @@ Pins the three contracts :mod:`repro.obs.perf` makes:
   shared ``NULL_SPAN`` singleton and allocates nothing, so instrumented
   code with the default profiler behaves exactly as before;
 * the enabled path is cheap — a profiled serving run stays within 5% of
-  the identical run under the null profiler (best-of-N, fixed seeds), and
-  the engine populates the report's wall-clock fields from it.
+  the identical run under the null profiler (median ratio of interleaved
+  run pairs, fixed seeds), and the engine populates the report's
+  wall-clock fields from it.
 """
 
+import statistics
 import time
 import tracemalloc
 
@@ -224,13 +226,21 @@ class TestEngineIntegration:
 
     def test_enabled_wall_time_close_to_null(self):
         # end-to-end guard against the instrumented loop growing real work:
-        # interleaved best-of-N (run-to-run noise on this ~15ms workload
-        # exceeds the true overhead, so the margin is noise, not budget)
-        null_t = prof_t = float("inf")
-        for _ in range(7):
-            null_t = min(null_t, _run_serve(None)[1])
-            prof_t = min(prof_t, _run_serve(PerfProfiler(calibrate=False))[1])
-        assert prof_t <= null_t * 1.15, (
-            f"profiled {prof_t:.4f}s vs null {null_t:.4f}s "
-            f"({prof_t / null_t - 1:+.1%} apparent overhead)"
+        # each round runs both sides back to back, alternating which goes
+        # first, and the median of the per-round ratios is compared.  A
+        # round's two runs share the host's load, so a neighbour's burst
+        # that spans several rounds moves both sides alike (run-to-run noise
+        # on this ~15ms workload exceeds the true overhead, so the margin is
+        # noise, not budget)
+        times: dict[bool, list[float]] = {False: [], True: []}
+        for round_ in range(11):
+            for profiled in (round_ % 2 == 0, round_ % 2 == 1):
+                prof = PerfProfiler(calibrate=False) if profiled else None
+                times[profiled].append(_run_serve(prof)[1])
+        ratio = statistics.median(
+            prof_t / null_t for null_t, prof_t in zip(times[False], times[True])
+        )
+        assert ratio <= 1.15, (
+            f"profiled runs took {ratio:.3f}x the null runs (median of "
+            f"{len(times[True])} interleaved pairs)"
         )

@@ -1,5 +1,7 @@
 """Event sinks, the bounded recorder buffer, and registry snapshots."""
 
+import json
+
 import pytest
 
 from repro.obs import (
@@ -144,3 +146,15 @@ def test_metrics_registry_snapshot_round_trip():
     restored.histogram("depth").observe(1)  # still usable after restore
     assert restored.histogram("depth").total == 3
     assert empty.name == "never_set"
+
+
+def test_metrics_registry_round_trip_keeps_integer_extremes():
+    """Integer observations restore as integers, so a snapshot taken after
+    a restore is byte-identical to the uninterrupted run's."""
+    registry = MetricsRegistry()
+    registry.histogram("depth", buckets=(1, 2, 4)).observe(3)
+    registry.gauge("inflight").set(5)
+    registry.gauge("inflight").set(2)
+    text = json.dumps(registry.snapshot())
+    restored = MetricsRegistry.from_snapshot(json.loads(text))
+    assert json.dumps(restored.snapshot()) == text

@@ -2,6 +2,8 @@
 and clean errors for malformed files."""
 
 import dataclasses
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ FLEET_KEYS = (
 )
 
 CONFIGS = [EngineConfig, FleetConfig]
+DATA = Path(__file__).parent / "data"
 
 
 def test_fields_are_the_config_json_schema():
@@ -117,3 +120,36 @@ def test_recover_reports_a_malformed_config_in_one_line(
     assert str(tmp_path / "config.json") in err
     assert needle in err
 
+
+@pytest.mark.parametrize(
+    "spoil, needle",
+    [
+        (lambda state: state.pop("run"), "KeyError('run')"),
+        (
+            lambda state: state["config"].update(num_modules=8),
+            "engine configuration does not match",
+        ),
+    ],
+    ids=["no-run", "num-modules"],
+)
+def test_recover_reports_an_unusable_snapshot_in_one_line(
+    spoil, needle, tmp_path, capsys
+):
+    """A snapshot whose CRC checks but whose state cannot be resumed is one
+    stderr line and exit 2, not a traceback."""
+    from repro.io import load_snapshot, save_snapshot
+
+    state_dir = tmp_path / "state"
+    shutil.copytree(DATA / "serve_state_parent", state_dir)
+    snap = state_dir / "snap-000000250.json"
+    payload = load_snapshot(snap)
+    spoil(payload["state"])
+    save_snapshot(payload, snap)
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--state-dir", str(state_dir)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("pmtree recover: ")
+    assert needle in captured.err

@@ -145,6 +145,30 @@ class TestSnapshotRoundTrip:
         with pytest.raises(DurabilityError, match="client ids"):
             engine2.restore(snapshot, wrong)
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda state: state.pop("run"),
+            lambda state: state["run"].pop("cycle"),
+            lambda state: state.update(next_id="seven"),
+            lambda state: state.update(inflight=5),
+            lambda state: state.update(queue=[]),
+            lambda state: state["requests"].update(bogus={"id": 1}),
+        ],
+        ids=["no-run", "no-cycle", "str-next-id", "int-inflight", "list-queue", "bad-request"],
+    )
+    def test_load_state_rejects_missing_or_ill_typed_fields(self, spoil):
+        factory = make_factory()
+        engine, clients = factory()
+        engine.start(clients, 400)
+        for _ in range(50):
+            engine.step()
+        state = json.loads(json.dumps(engine.state_dict()))
+        spoil(state)
+        fresh, fresh_clients = factory()
+        with pytest.raises(DurabilityError, match="missing or has an ill-typed field"):
+            fresh.load_state(state, fresh_clients)
+
     def test_restore_preserves_absolute_clocks(self):
         """Restoring must keep the lifetime clock and per-module port
         clocks — unlike reset() — so post-recovery fault windows fire at

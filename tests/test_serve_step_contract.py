@@ -14,7 +14,6 @@ from repro.core import ColorMapping
 from repro.memory import ParallelMemorySystem
 from repro.obs import EventRecorder
 from repro.serve import (
-    EngineSnapshot,
     PoissonClient,
     ServeEngine,
     TemplateMix,
@@ -62,10 +61,10 @@ def test_false_step_leaves_state_untouched():
     engine.start(clients, max_cycles=CYCLES)
     while engine.step():
         pass
-    frozen = EngineSnapshot.capture(engine).to_json()
+    frozen = engine.checkpoint().to_json()
     for _ in range(5):
         assert engine.step() is False
-    assert EngineSnapshot.capture(engine).to_json() == frozen
+    assert engine.checkpoint().to_json() == frozen
 
 
 def test_checkpoint_at_last_cycle_restores_final_report():
@@ -75,11 +74,11 @@ def test_checkpoint_at_last_cycle_restores_final_report():
         pass
     # checkpoint *after* the run is over but before finish(): the False
     # contract is what makes this snapshot valid
-    snapshot = EngineSnapshot.capture(engine)
+    snapshot = engine.checkpoint()
     report = engine.finish()
 
     fresh_engine, fresh_clients, _ = _build()
-    snapshot.restore_into(fresh_engine, fresh_clients)
+    fresh_engine.restore(snapshot, fresh_clients)
     assert fresh_engine.step() is False
     restored = fresh_engine.finish()
     assert diff_reports(report, restored) == []
