@@ -229,6 +229,20 @@ def _config_from_args(cls, args, **extra):
     return cls(**{k: v for k, v in vars(args).items() if k in names}, **extra)
 
 
+def _check_workload(config) -> None:
+    """A ``--workload`` that is not a valid mix on the run's tree is a
+    one-line error (exit 2), not a traceback from deep inside the build."""
+    from repro.serve.clients import TemplateMix
+
+    mapping = getattr(config, "mapping", None)
+    tree = load_mapping(mapping).tree if mapping else CompleteBinaryTree(config.levels)
+    try:
+        TemplateMix.parse(tree, config.workload)
+    except ValueError as exc:
+        print(f"pmtree: --workload {config.workload!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _load_config(cls, state_dir: Path, started_with: str):
     """Read a state dir's ``config.json``; a malformed one is a one-line
     error (exit 2), not a traceback."""
@@ -256,6 +270,7 @@ def _finish_serve(report, recorder, obs_path) -> int:
 
 def cmd_serve(args) -> int:
     config = _config_from_args(EngineConfig, args)
+    _check_workload(config)
     engine, clients, recorder = config.build()
     if not args.state_dir:
         if args.crash_at is not None:
@@ -351,6 +366,7 @@ def cmd_daemon(args) -> int:
     if not args.obs:
         args.obs = str(state_dir / "telemetry.jsonl")
     config = _config_from_args(EngineConfig, args, daemon=True)
+    _check_workload(config)
     engine, clients, recorder = config.build()
     config_path = state_dir / "config.json"
     config_path.write_text(config.to_json())
@@ -394,6 +410,7 @@ def _finish_fleet(report, recorder, obs_path) -> int:
 
 def cmd_fleet(args) -> int:
     config = _config_from_args(FleetConfig, args)
+    _check_workload(config)
     coordinator, population, recorder, factory = config.build()
     supervised = args.shard_state_dir or config.restart_after is not None
     if not supervised:

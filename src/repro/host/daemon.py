@@ -58,11 +58,11 @@ import numpy as np
 
 from repro.obs.sinks import EventSink
 from repro.serve.batching import make_policy
-from repro.serve.clients import Client, _elementary_family
+from repro.serve.clients import Client
 from repro.serve.config import EngineConfig
 from repro.serve.durability import DurableServer
 from repro.serve.request import instance_from_json, instance_to_json
-from repro.templates.composite import CompositeSampler
+from repro.templates.composite import CompositeSampler, elementary_family
 
 __all__ = ["ServeDaemon", "SubmitFeed", "QueueSink"]
 
@@ -116,7 +116,7 @@ class SubmitFeed(Client):
             for _ in range(count):
                 instances.append(sampler.sample(components, size, self.rng))
         else:
-            family = _elementary_family(kind, size)
+            family = elementary_family(kind, size)
             if not family.admits(self.tree):
                 raise ValueError(
                     f"{kind}({size}) has no instances in a "

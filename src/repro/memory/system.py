@@ -164,15 +164,17 @@ class ParallelMemorySystem:
         else:  # drop
             self._drop_prob = window.drop_prob if starting else 0.0
 
-    def advance_faults(self, now: int, emit_cycle: int | None = None) -> None:
-        """Apply every scheduled fault edge with ``cycle <= now``.
+    def advance_faults(self, now: int, emit_cycle: int | None = None) -> bool:
+        """Apply every scheduled fault edge with ``cycle <= now``; ``True``
+        when at least one edge applied (so the failed set may have changed).
 
         ``emit_cycle`` overrides the cycle stamped on telemetry events (the
         barrier drain counts locally while the schedule runs on the
         lifetime clock; everywhere else the two coincide).
         """
         if self._fault_schedule is None:
-            return
+            return False
+        start = self._fault_idx
         transitions = self._fault_transitions
         rec = self.recorder
         stamp = now if emit_cycle is None else emit_cycle
@@ -193,6 +195,7 @@ class ParallelMemorySystem:
                     fields["latency"] = window.latency
                 rec.event("fault_inject" if starting else "fault_recover", **fields)
         self._fault_schedule.cursor = self._fault_idx
+        return self._fault_idx != start
 
     def _faults_pending_after(self, now: int) -> bool:
         """Whether the schedule still holds edges strictly after ``now``."""
@@ -243,21 +246,28 @@ class ParallelMemorySystem:
     # -- the one enqueue and the one service cycle ------------------------------
 
     def submit(
-        self, nodes: np.ndarray, key=None, mapping: TreeMapping | None = None
+        self, nodes: np.ndarray, key=None, colors: np.ndarray | None = None
     ) -> np.ndarray:
         """Queue each node of one access on its module; returns the colors.
 
         Item ``i`` is tagged ``i``, or ``(key, i)`` when ``key`` is given
-        (open-loop replay keys by access, serving by request).  ``mapping``
-        stands in for the bound mapping (the serving engine passes its
-        repair mapping while modules are down).
+        (open-loop replay keys by access, serving by request).  ``colors``
+        stands in for the bound mapping's colors of ``nodes`` (the serving
+        engine passes the ones it costed its batch with, under its repair
+        mapping while modules are down).  Each append is
+        :meth:`~repro.memory.module.MemoryModule.enqueue`, inlined.
         """
-        colors = (self.mapping if mapping is None else mapping).colors_of(nodes)
+        if colors is None:
+            colors = self.mapping.colors_of(nodes)
         modules = self.modules
         for i, (node, color) in enumerate(
             zip(np.asarray(nodes).tolist(), colors.tolist())
         ):
-            modules[color].enqueue(i if key is None else (key, i), node)
+            mod = modules[color]
+            queue = mod.queue
+            queue.append((i if key is None else (key, i), node))
+            if len(queue) > mod.max_queue_depth:
+                mod.max_queue_depth = len(queue)
         return colors
 
     def issue(self, cycle: int, start: int) -> Iterator[tuple[MemoryModule, tuple, int]]:

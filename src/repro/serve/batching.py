@@ -73,6 +73,10 @@ class Batch:
     num_components: int
     #: the certified ``C(D, c)`` instance, when every member is elementary
     composite: CompositeInstance | None
+    #: each node's module under the mapping the batch was costed with, in
+    #: ``nodes`` order (dispatch enqueues by these); ``None`` on a batch
+    #: rebuilt from a snapshot, which is dispatched already
+    colors: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -101,7 +105,8 @@ def build_batch(requests, mapping: TreeMapping) -> Batch:
     if not requests:
         raise ValueError("a batch needs at least one request")
     nodes = np.concatenate([req.nodes for req in requests])
-    counts = np.bincount(mapping.colors_of(nodes), minlength=mapping.num_modules)
+    colors = mapping.colors_of(nodes)
+    counts = np.bincount(colors, minlength=mapping.num_modules)
     parts = _elementary_components(requests)
     composite = None
     if parts is not None and len(parts) > 1:
@@ -113,6 +118,7 @@ def build_batch(requests, mapping: TreeMapping) -> Batch:
         conflicts=int(counts.max() - 1),
         num_components=sum(req.num_components for req in requests),
         composite=composite,
+        colors=colors,
     )
 
 
@@ -148,7 +154,10 @@ class BatchPolicy(abc.ABC):
     def form(
         self, pending, mapping: TreeMapping, avoid: frozenset = frozenset()
     ) -> Batch:
-        chosen = self.select(pending, mapping, avoid=avoid)
+        # a lone pending request is the only non-empty subset there is
+        chosen = [pending[0]] if len(pending) == 1 else self.select(
+            pending, mapping, avoid=avoid
+        )
         if not chosen:
             raise AssertionError(f"{self.name} selected an empty batch")
         return build_batch(chosen, mapping)

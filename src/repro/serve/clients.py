@@ -18,7 +18,9 @@ compact spec syntax (``"subtree:7=2,path:8=1,level:7=1,composite:15x3=1"``).
 from __future__ import annotations
 
 import abc
+import math
 import random as _stdlib_random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +28,7 @@ import numpy as np
 from repro.memory.trace import AccessTrace
 from repro.serve.request import Request
 from repro.templates.base import ELEMENTARY_KINDS, TemplateFamily, TemplateInstance
-from repro.templates.composite import CompositeSampler
-from repro.templates.level import LTemplate
-from repro.templates.path import PTemplate
-from repro.templates.subtree import STemplate
+from repro.templates.composite import CompositeSampler, elementary_family
 from repro.trees import CompleteBinaryTree
 
 __all__ = [
@@ -78,14 +77,21 @@ class MixEntry:
     components: int = 2
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
         if self.kind == "composite" and self.components < 1:
             raise ValueError(f"components must be >= 1, got {self.components}")
 
 
 class TemplateMix:
-    """A weighted distribution over template instances on one tree."""
+    """A weighted distribution over template instances on one tree.
+
+    :meth:`sample` picks an entry with ``bisect_right(cdf, rng.random())``
+    over a CDF built once, exactly as ``rng.choice(n, p=probs)`` builds it
+    (``cumsum``, then divide by the last element): the same one double is
+    drawn and the same index comes out, so streams match a ``choice`` draw
+    bit for bit at a fraction of its per-call cost.
+    """
 
     def __init__(self, tree: CompleteBinaryTree, entries):
         entries = list(entries)
@@ -101,9 +107,14 @@ class TemplateMix:
                     raise ValueError(
                         f"composite size {entry.size} < components {entry.components}"
                     )
+                if entry.size > tree.num_nodes // 2:
+                    raise ValueError(
+                        f"composite size {entry.size} too large for a "
+                        f"{tree.num_nodes}-node tree (at most {tree.num_nodes // 2})"
+                    )
                 self._families.append(sampler)
             else:
-                family = _elementary_family(entry.kind, entry.size)
+                family = elementary_family(entry.kind, entry.size)
                 if not family.admits(tree):
                     raise ValueError(
                         f"{entry.kind}({entry.size}) has no instances in a "
@@ -111,10 +122,16 @@ class TemplateMix:
                     )
                 self._families.append(family)
         weights = np.array([entry.weight for entry in entries], dtype=np.float64)
-        self._probs = weights / weights.sum()
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not math.isfinite(total):
+            raise ValueError(f"mix weights must sum to a finite total, got {total}")
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> TemplateInstance:
-        idx = int(rng.choice(len(self.entries), p=self._probs))
+        idx = bisect_right(self._cdf, rng.random())
         entry, family = self.entries[idx], self._families[idx]
         if entry.kind == "composite":
             return family.sample(entry.components, entry.size, rng)
@@ -152,16 +169,6 @@ class TemplateMix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         terms = ",".join(f"{e.kind}:{e.size}={e.weight:g}" for e in self.entries)
         return f"TemplateMix({terms})"
-
-
-def _elementary_family(kind: str, size: int) -> TemplateFamily:
-    if kind == "subtree":
-        return STemplate(size)
-    if kind == "level":
-        return LTemplate(size)
-    if kind == "path":
-        return PTemplate(size)
-    raise ValueError(f"unknown template kind {kind!r}")
 
 
 class Client(abc.ABC):

@@ -241,9 +241,14 @@ class ServeEngine:
         return mapping
 
     def _advance_faults(self, cycle: int) -> None:
-        """Apply schedule edges; swap the dispatch mapping on membership change."""
+        """Apply schedule edges; swap the dispatch mapping on membership change.
+
+        Only an applied edge can change the failed set, so the set is
+        rebuilt only on a cycle that applied one.
+        """
         system = self.system
-        system.advance_faults(cycle)
+        if not system.advance_faults(cycle):
+            return
         failed = system.failed_modules()
         if failed == self._failed_now:
             return
@@ -291,12 +296,20 @@ class ServeEngine:
             size=batch.size,
             conflicts=batch.conflicts,
         )
+        # the batch was costed under the effective mapping this cycle, so
+        # its colors are the modules each request's items queue on
+        colors = batch.colors
+        offset = 0
         for req in batch.requests:
             req.dispatch_cycle = cycle
             req.attempts += 1
+            size = req.size
             self._requests[req.request_id] = req
-            self._remaining[req.request_id] = req.size
-            system.submit(req.nodes, key=req.request_id, mapping=self._mapping)
+            self._remaining[req.request_id] = size
+            system.submit(
+                req.nodes, key=req.request_id, colors=colors[offset : offset + size]
+            )
+            offset += size
         self.tracker.on_dispatch(batch, cycle)
 
     def _retire(self, cycle: int) -> int:
@@ -518,27 +531,30 @@ class ServeEngine:
         self._advance_faults(cycle)
         tracker.on_cycle(len(self._failed_now), system.num_modules)
         # 1. retire completions due now; free the array when its batch ends
+        # (only a retirement can complete the batch's last request)
         with self._sp_retire:
-            last_done = self._retire(cycle)
-            if self._current_batch is not None and not any(
-                not req.completed for req in self._current_batch.requests
-            ):
+            completions = self._completions
+            if completions and completions[0][0] <= cycle:
+                last_done = self._retire(cycle)
                 batch = self._current_batch
-                rounds = (
-                    max(last_done, self._batch_dispatched_at)
-                    - self._batch_dispatched_at
-                )
-                tracker.on_batch_retired(batch, rounds)
-                if rec.enabled:
-                    rec.event(
-                        "batch_retire",
-                        cycle=cycle,
-                        rounds=rounds,
-                        requests=len(batch),
-                        components=batch.num_components,
-                        conflicts=batch.conflicts,
+                if batch is not None and not any(
+                    not req.completed for req in batch.requests
+                ):
+                    rounds = (
+                        max(last_done, self._batch_dispatched_at)
+                        - self._batch_dispatched_at
                     )
-                self._current_batch = None
+                    tracker.on_batch_retired(batch, rounds)
+                    if rec.enabled:
+                        rec.event(
+                            "batch_retire",
+                            cycle=cycle,
+                            rounds=rounds,
+                            requests=len(batch),
+                            components=batch.num_components,
+                            conflicts=batch.conflicts,
+                        )
+                    self._current_batch = None
             # 1b. retry-timeout abort: the batch has held the array too long
             if (
                 self._current_batch is not None
@@ -622,16 +638,17 @@ class ServeEngine:
                                 reason="admission",
                             )
                             client.notify_shed(request, cycle)
-            for request in self.queue.admit_waiting(cycle):
-                tracker.on_admit(request)
-                self._journal(
-                    "admit",
-                    cycle,
-                    request=request.request_id,
-                    client=request.client_id,
-                    tenant=request.tenant,
-                    size=request.size,
-                )
+            if self.queue.waiting:
+                for request in self.queue.admit_waiting(cycle):
+                    tracker.on_admit(request)
+                    self._journal(
+                        "admit",
+                        cycle,
+                        request=request.request_id,
+                        client=request.client_id,
+                        tenant=request.tenant,
+                        size=request.size,
+                    )
         # 3. dispatch the next batch once the array is idle; requests in
         # a backoff window are not yet eligible
         with self._sp_dispatch:

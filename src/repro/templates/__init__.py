@@ -13,6 +13,7 @@ from repro.templates.base import ELEMENTARY_KINDS, TemplateFamily, TemplateInsta
 from repro.templates.composite import (
     CompositeInstance,
     CompositeSampler,
+    elementary_family,
     make_composite,
 )
 from repro.templates.level import LTemplate
@@ -34,13 +35,3 @@ __all__ = [
     "make_composite",
 ]
 
-
-def elementary_family(kind: str, size: int) -> TemplateFamily:
-    """Factory: build an elementary family by kind name (``subtree``/``level``/``path``)."""
-    if kind == "subtree":
-        return STemplate(size)
-    if kind == "level":
-        return LTemplate(size)
-    if kind == "path":
-        return PTemplate(size)
-    raise ValueError(f"unknown elementary template kind {kind!r}")

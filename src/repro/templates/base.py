@@ -51,7 +51,7 @@ class TemplateInstance:
         object.__setattr__(self, "nodes", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("instance must be a non-empty 1-D array of heap ids")
-        node_set = frozenset(int(v) for v in arr)
+        node_set = frozenset(arr.tolist())
         if len(node_set) != arr.size:
             raise ValueError(f"instance contains duplicate nodes: {arr!r}")
         object.__setattr__(self, "_node_set", node_set)

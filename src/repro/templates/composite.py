@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.templates.base import TemplateInstance
+from repro.templates.base import TemplateFamily, TemplateInstance
 from repro.templates.level import LTemplate
 from repro.templates.path import PTemplate
 from repro.templates.subtree import STemplate
 from repro.trees import CompleteBinaryTree
 
-__all__ = ["CompositeInstance", "make_composite", "CompositeSampler"]
+__all__ = ["CompositeInstance", "CompositeSampler", "elementary_family", "make_composite"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +86,9 @@ class CompositeSampler:
         self.tree = tree
         self.kinds = kinds
         self.max_tries = max_tries
+        # one family per (kind, size): sizes are clamped to the tree, so this
+        # stays small, and a draw never rebuilds a family's tables
+        self._families: dict[tuple[str, int], TemplateFamily] = {}
 
     def sample(
         self,
@@ -142,7 +145,9 @@ class CompositeSampler:
         skipped: list[str] = []
         for kind in kinds:
             size = self._component_size(kind, budget)
-            family = _family(kind, size)
+            family = self._families.get((kind, size))
+            if family is None:
+                family = self._families[kind, size] = elementary_family(kind, size)
             if not family.admits(self.tree):
                 skipped.append(f"{kind}({size}): no instances in tree")
                 continue
@@ -161,11 +166,12 @@ class CompositeSampler:
         )
 
 
-def _family(kind: str, size: int):
+def elementary_family(kind: str, size: int) -> TemplateFamily:
+    """Factory: build an elementary family by kind name (``subtree``/``level``/``path``)."""
     if kind == "subtree":
         return STemplate(size)
     if kind == "level":
         return LTemplate(size)
     if kind == "path":
         return PTemplate(size)
-    raise ValueError(f"unknown kind {kind!r}")  # pragma: no cover
+    raise ValueError(f"unknown elementary template kind {kind!r}")

@@ -26,6 +26,8 @@ class LTemplate(TemplateFamily):
         if K < 1:
             raise ValueError(f"K must be >= 1, got {K}")
         self._K = K
+        # tree height -> ((level, windows_at_level), ...) and their total
+        self._levels: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
 
     @property
     def size(self) -> int:
@@ -38,15 +40,23 @@ class LTemplate(TemplateFamily):
     def admits(self, tree: CompleteBinaryTree) -> bool:
         return self._min_level() <= tree.last_level
 
-    def _level_counts(self, tree: CompleteBinaryTree) -> list[tuple[int, int]]:
+    def _level_counts(self, tree: CompleteBinaryTree) -> tuple[tuple[int, int], ...]:
         """Pairs ``(level, windows_at_level)`` for levels that admit instances."""
-        return [
-            (j, (1 << j) - self._K + 1)
-            for j in range(self._min_level(), tree.num_levels)
-        ]
+        return self._levels_of(tree)[0]
+
+    def _levels_of(self, tree: CompleteBinaryTree):
+        """:meth:`_level_counts` and their total, built once per tree height."""
+        entry = self._levels.get(tree.num_levels)
+        if entry is None:
+            pairs = tuple(
+                (j, (1 << j) - self._K + 1)
+                for j in range(self._min_level(), tree.num_levels)
+            )
+            entry = self._levels[tree.num_levels] = (pairs, sum(c for _, c in pairs))
+        return entry
 
     def count(self, tree: CompleteBinaryTree) -> int:
-        return sum(c for _, c in self._level_counts(tree))
+        return self._levels_of(tree)[1]
 
     def instance_at(self, tree: CompleteBinaryTree, index: int) -> TemplateInstance:
         self._check_index(tree, index)

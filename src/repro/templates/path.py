@@ -3,17 +3,19 @@
 An instance ``P_N(i, j)`` is the path from ``v(i, j)`` up to its
 ``(N-1)``-st ancestor; it exists for every node at level ``j >= N - 1``.
 Node order is bottom-up (the paper's "leaf-to-root" direction, though the
-bottom endpoint need not be a leaf).
+bottom endpoint need not be a leaf): the ``d``-th node above ``bottom`` is
+heap id ``((bottom + 1) >> d) - 1``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from repro.templates.base import TemplateFamily, TemplateInstance
-from repro.trees import CompleteBinaryTree, path_up
+from repro.trees import CompleteBinaryTree
 
 __all__ = ["PTemplate"]
 
@@ -31,6 +33,12 @@ class PTemplate(TemplateFamily):
     @property
     def size(self) -> int:
         return self._N
+
+    @cached_property
+    def _shifts(self) -> np.ndarray:
+        """Ancestor distances ``0 .. N-1``, built on first use (a family too
+        long for any tree never allocates them)."""
+        return np.arange(self._N, dtype=np.int64)
 
     def admits(self, tree: CompleteBinaryTree) -> bool:
         return tree.num_levels >= self._N
@@ -54,7 +62,7 @@ class PTemplate(TemplateFamily):
         bottom = self._first_bottom() + index
         return TemplateInstance(
             kind=self.kind,
-            nodes=np.array(path_up(bottom, self._N), dtype=np.int64),
+            nodes=((bottom + 1) >> self._shifts) - 1,
             anchor=bottom,
         )
 
@@ -64,8 +72,7 @@ class PTemplate(TemplateFamily):
 
     def instance_matrix(self, tree: CompleteBinaryTree) -> np.ndarray:
         bottoms = self.bottoms(tree)
-        d = np.arange(self._N, dtype=np.int64)
-        return ((bottoms[:, None] + 1) >> d[None, :]) - 1
+        return ((bottoms[:, None] + 1) >> self._shifts[None, :]) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PTemplate(N={self._N})"

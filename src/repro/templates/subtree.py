@@ -2,17 +2,19 @@
 
 ``S(K)`` is the family of all complete subtrees of size ``K``; an instance is
 rooted at any node lying at level ``<= H - k`` (so the subtree fits in the
-tree).  Instance node order is BFS from the root.
+tree).  Instance node order is BFS from the root: BFS rank ``2**r - 1 + s``
+of the subtree rooted at ``root`` is heap id ``((root + 1) << r) - 1 + s``.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from repro.templates.base import TemplateFamily, TemplateInstance
-from repro.trees import CompleteBinaryTree, subtree_nodes, subtree_num_levels
+from repro.trees import CompleteBinaryTree, subtree_num_levels
 
 __all__ = ["STemplate", "bfs_rank_levels_offsets"]
 
@@ -51,6 +53,13 @@ class STemplate(TemplateFamily):
         """Number of levels ``k`` of each subtree instance."""
         return self._k
 
+    @cached_property
+    def _rank_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`bfs_rank_levels_offsets` of ``K``, built on first use (a
+        family too large for any tree never allocates them): one instance
+        is one broadcast of its root over these, as in instance_matrix."""
+        return bfs_rank_levels_offsets(self._K)
+
     def _max_root_level(self, tree: CompleteBinaryTree) -> int:
         return tree.num_levels - self._k
 
@@ -70,10 +79,9 @@ class STemplate(TemplateFamily):
 
     def instance_at(self, tree: CompleteBinaryTree, index: int) -> TemplateInstance:
         self._check_index(tree, index)
+        r, s = self._rank_offsets
         return TemplateInstance(
-            kind=self.kind,
-            nodes=subtree_nodes(index, self._k),
-            anchor=index,
+            kind=self.kind, nodes=((index + 1) << r) - 1 + s, anchor=index
         )
 
     def instances(self, tree: CompleteBinaryTree) -> Iterator[TemplateInstance]:
@@ -82,7 +90,7 @@ class STemplate(TemplateFamily):
 
     def instance_matrix(self, tree: CompleteBinaryTree) -> np.ndarray:
         roots = self.roots(tree)
-        r, s = bfs_rank_levels_offsets(self._K)
+        r, s = self._rank_offsets
         return ((roots[:, None] + 1) << r[None, :]) - 1 + s[None, :]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
