@@ -34,4 +34,3 @@ __all__ = [
     "elementary_family",
     "make_composite",
 ]
-
