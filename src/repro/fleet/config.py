@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import ColorMapping
-from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.coordinator import FleetCoordinator, parse_kills
+from repro.fleet.router import ROUTERS
 from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.tenancy import SLOClass, heavy_tailed_tenants
 from repro.memory import ParallelMemorySystem, per_shard_schedules
 from repro.obs.events import EventRecorder
-from repro.serve.config import JsonConfig, fault_schedule
+from repro.serve.config import JsonConfig, checking, fault_schedule
 from repro.serve.engine import ServeEngine
 from repro.trees import CompleteBinaryTree
 
@@ -35,6 +36,11 @@ class FleetConfig(JsonConfig):
     ``restart_budget`` and ``checkpoint_every`` configure the
     :class:`~repro.fleet.supervisor.FleetSupervisor` of a supervised run
     (see :meth:`supervise`).
+
+    Like :class:`~repro.serve.config.EngineConfig`, construction checks
+    every spec-valued field (the workload, faults, kill specs, and the
+    router, policy, admission and repair names) and raises
+    :class:`~repro.serve.config.ConfigError` naming the first bad one.
     """
 
     shards: int = 4
@@ -64,6 +70,14 @@ class FleetConfig(JsonConfig):
     restart_after: int | None = None
     restart_budget: int = 3
     checkpoint_every: int = 100
+
+    def __post_init__(self) -> None:
+        with checking("levels", self.levels):
+            tree = CompleteBinaryTree(self.levels)
+        self._check_specs(tree, self.modules)
+        self._check_names(router=ROUTERS)
+        with checking("kill_shard_at", self.kill_shard_at):
+            parse_kills(self.kill_shard_at or (), self.shards)
 
     def build(self, profiler=None, recorder=None):
         """Build ``(coordinator, population, recorder, factory)``.

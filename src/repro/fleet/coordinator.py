@@ -69,6 +69,7 @@ __all__ = [
     "FleetCoordinator",
     "ShardFeed",
     "ShardKill",
+    "parse_kills",
 ]
 
 FLEET_SNAPSHOT_VERSION = 1
@@ -96,24 +97,24 @@ class ShardFeed(Client):
         self.shard_id = shard_id
         self._coordinator = coordinator
         self._incoming: deque[tuple[TemplateInstance, str]] = deque()
-
-    @property
-    def backlog_items(self) -> int:
-        """Items pushed but not yet polled by the shard."""
-        return sum(instance.size for instance, _ in self._incoming)
+        #: items pushed but not yet polled by the shard, kept as the
+        #: backlog changes so routing never re-sums it
+        self.backlog_items = 0
 
     def push(self, instance: TemplateInstance, tenant: str) -> None:
         self._incoming.append((instance, tenant))
+        self.backlog_items += instance.size
 
     def drain(self) -> list[tuple[TemplateInstance, str]]:
-        """Take the un-polled backlog (used when the shard dies)."""
+        """Take the un-polled backlog (when the shard dies, or to strip a
+        rejoining shard's feed)."""
         out = list(self._incoming)
         self._incoming.clear()
+        self.backlog_items = 0
         return out
 
     def poll_tenants(self, cycle: int) -> list[tuple[TemplateInstance, str | None]]:
-        out = list(self._incoming)
-        self._incoming.clear()
+        out = self.drain()
         self.generated += len(out)
         return out
 
@@ -136,11 +137,9 @@ class ShardFeed(Client):
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self._incoming.clear()
+        self.drain()
         for entry in state.get("incoming", ()):
-            self._incoming.append(
-                (instance_from_json(entry["instance"]), entry["tenant"])
-            )
+            self.push(instance_from_json(entry["instance"]), entry["tenant"])
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,23 @@ class ShardKill:
         return FaultSchedule(
             [FaultWindow("fail", m, self.cycle) for m in range(num_modules)]
         )
+
+
+def parse_kills(kills, num_shards: int) -> list[ShardKill]:
+    """:class:`ShardKill` specs (or parseable strings), each naming a shard
+    of a ``num_shards`` fleet at most once."""
+    specs: list[ShardKill] = []
+    for kill in kills:
+        if isinstance(kill, str):
+            kill = ShardKill.parse(kill)
+        if not 0 <= kill.shard < num_shards:
+            raise ValueError(
+                f"kill names shard {kill.shard}; fleet has {num_shards} shards"
+            )
+        if any(spec.shard == kill.shard for spec in specs):
+            raise ValueError(f"shard {kill.shard} killed twice")
+        specs.append(kill)
+    return specs
 
 
 class FleetCoordinator:
@@ -230,18 +246,7 @@ class FleetCoordinator:
         self.suspect_grace = suspect_grace
         self._feeds = [ShardFeed(i, self) for i in range(len(self.shards))]
         self._kills: dict[int, FaultSchedule] = {}
-        self._kill_specs: list[ShardKill] = []
-        for kill in kills:
-            if isinstance(kill, str):
-                kill = ShardKill.parse(kill)
-            if not 0 <= kill.shard < len(self.shards):
-                raise ValueError(
-                    f"kill names shard {kill.shard}; fleet has "
-                    f"{len(self.shards)} shards"
-                )
-            if any(spec.shard == kill.shard for spec in self._kill_specs):
-                raise ValueError(f"shard {kill.shard} killed twice")
-            self._kill_specs.append(kill)
+        self._kill_specs = parse_kills(kills, len(self.shards))
         self._clients: list[Client] = []
         self._max_cycles = 0
         self._drain = True
@@ -263,7 +268,7 @@ class FleetCoordinator:
             for kill in self._kill_specs
         }
         for feed in self._feeds:
-            feed._incoming.clear()
+            feed.drain()
             feed.generated = 0
         self.router.reset()
         self._health: list[str] = ["alive"] * len(self.shards)
@@ -504,7 +509,7 @@ class FleetCoordinator:
         module queues; its feed re-fills with fresh routed arrivals only.
         """
         purged = engine.purge()
-        self._feeds[shard]._incoming.clear()
+        self._feeds[shard].drain()
         self._reconciled += purged
         return purged
 

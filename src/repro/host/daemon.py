@@ -464,6 +464,9 @@ class ServeDaemon:
         engine).  A hard kill between the rewrite and the checkpoint
         recovers from the previous checkpoint with the new config — safe,
         because knobs are not part of the replay-verified record stream.
+
+        Every knob is checked — the policy name by the config itself —
+        before any is applied, so a rejected body changes nothing.
         """
         engine = self.server.engine
         applied = {}
@@ -475,24 +478,27 @@ class ServeDaemon:
                 "pass at least one of policy/deadline/retry_timeout"
             )
         if "policy" in payload:
-            name = payload["policy"]
-            engine.policy = make_policy(
-                name,
-                max_components=engine.policy.max_components,
-                bound_k=getattr(engine.system.mapping, "k", None),
-            )
-            applied["policy"] = name
+            applied["policy"] = payload["policy"]
         if "deadline" in payload:
             deadline = payload["deadline"]
-            engine.deadline = None if deadline is None else int(deadline)
-            applied["deadline"] = engine.deadline
+            applied["deadline"] = None if deadline is None else int(deadline)
         if "retry_timeout" in payload:
             timeout = payload["retry_timeout"]
             if timeout is not None and int(timeout) < 1:
                 raise ValueError(f"retry_timeout must be >= 1, got {timeout}")
-            engine.retry_timeout = None if timeout is None else int(timeout)
-            applied["retry_timeout"] = engine.retry_timeout
-        self.config = dataclasses.replace(self.config, **applied)
+            applied["retry_timeout"] = None if timeout is None else int(timeout)
+        config = dataclasses.replace(self.config, **applied)
+        if "policy" in applied:
+            engine.policy = make_policy(
+                config.policy,
+                max_components=engine.policy.max_components,
+                bound_k=getattr(engine.system.mapping, "k", None),
+            )
+        if "deadline" in applied:
+            engine.deadline = config.deadline
+        if "retry_timeout" in applied:
+            engine.retry_timeout = config.retry_timeout
+        self.config = config
         self.config_path.write_text(self.config.to_json())
         if engine.active:
             self.server._write_checkpoint()

@@ -46,7 +46,7 @@ events, so ``pmtree obs report`` works on serving artifacts unchanged.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from itertools import chain
 from typing import Iterator
 
@@ -192,6 +192,7 @@ class ServeEngine:
         self.journal = None
         self._next_id = 0
         self._requests: dict[int, Request] = {}  # in flight, by id
+        self._inflight_items = 0  # sum of their sizes, kept as they change
         self._mapping: TreeMapping = system.mapping  # effective (repair) mapping
         self._failed_now: frozenset[int] = frozenset()
         self._repair_cache: OrderedDict[frozenset[int], TreeMapping] = OrderedDict()
@@ -305,6 +306,7 @@ class ServeEngine:
             req.attempts += 1
             size = req.size
             self._requests[req.request_id] = req
+            self._inflight_items += size
             self._remaining[req.request_id] = size
             system.submit(
                 req.nodes, key=req.request_id, colors=colors[offset : offset + size]
@@ -321,6 +323,7 @@ class ServeEngine:
         while completions and completions[0][0] <= cycle:
             done_cycle, request_id = heapq.heappop(completions)
             request = self._requests.pop(request_id)
+            self._inflight_items -= request.size
             request.complete_cycle = done_cycle
             last = max(last, done_cycle)
             self.tracker.on_complete(request)
@@ -350,8 +353,8 @@ class ServeEngine:
     # -- retry ladder ----------------------------------------------------------
 
     def _escalate(self, request: Request, cycle: int) -> None:
-        """One rung up the ladder for a timed-out request:
-        retry -> degrade -> shed."""
+        """One rung up the ladder for a timed-out request that has left the
+        in-flight table: retry -> degrade -> shed."""
         tracker = self.tracker
         rec = self.system.recorder
         request.timeouts += 1
@@ -369,7 +372,6 @@ class ServeEngine:
             smaller = degrade_instance(request.instance)
             if smaller is None:
                 # ladder exhausted: shed
-                self._requests.pop(request.request_id, None)
                 tracker.on_timeout_shed(request)
                 if rec.enabled:
                     rec.event(
@@ -433,7 +435,8 @@ class ServeEngine:
         self.system.withdraw({req.request_id for req in live})
         for req in live:
             del remaining[req.request_id]
-            self._requests.pop(req.request_id, None)
+            if self._requests.pop(req.request_id, None) is not None:
+                self._inflight_items -= req.size
             self._escalate(req, cycle)
 
     # -- main loop -------------------------------------------------------------
@@ -758,20 +761,17 @@ class ServeEngine:
     def held_items(self) -> int:
         """Items (tree nodes) the engine holds: admitted and blocked queue
         entries plus the requests in flight."""
-        return (
-            self.queue.pending_items
-            + sum(req.size for req in self.queue.waiting)
-            + sum(req.size for req in self._requests.values())
-        )
+        queue = self.queue
+        return queue.pending_items + queue.waiting_items + self._inflight_items
 
     def purge(self) -> int:
         """Strip every held request — queue, blocked arrivals, in-flight
         table, current batch, pending completions and module queues;
         returns how many requests :meth:`held_requests` listed."""
         purged = sum(1 for _ in self.held_requests())
-        self.queue.pending = []
-        self.queue.waiting = deque()
+        self.queue.reset()
         self._requests = {}
+        self._inflight_items = 0
         self._current_batch = None
         self._batch_dispatched_at = 0
         self._completions = []
@@ -919,9 +919,10 @@ class ServeEngine:
         }
         self._next_id = int(state["next_id"])
         self._requests = {rid: registry[rid] for rid in state["inflight"]}
-        self.queue.pending = [registry[rid] for rid in state["queue"]["pending"]]
-        self.queue.waiting = deque(
-            registry[rid] for rid in state["queue"]["waiting"]
+        self._inflight_items = sum(req.size for req in self._requests.values())
+        self.queue.reset(
+            pending=[registry[rid] for rid in state["queue"]["pending"]],
+            waiting=[registry[rid] for rid in state["queue"]["waiting"]],
         )
         batch_state = state["batch"]
         if batch_state is None:

@@ -234,10 +234,12 @@ class AdmissionQueue:
         self.policy = policy
         self.pending: list[Request] = []
         self.waiting: deque[Request] = deque()  # block policy overflow
-
-    @property
-    def pending_items(self) -> int:
-        return sum(req.size for req in self.pending)
+        #: items across ``pending`` / ``waiting``, updated wherever a list
+        #: changes so admission and fleet routing never re-sum them.  A
+        #: request's size changes only on degrade, while it is in neither
+        #: list, so the size it leaves with is the size it entered with.
+        self.pending_items = 0
+        self.waiting_items = 0
 
     def __len__(self) -> int:
         return len(self.pending)
@@ -248,6 +250,7 @@ class AdmissionQueue:
     def _admit(self, request: Request, cycle: int) -> None:
         request.admit_cycle = cycle
         self.pending.append(request)
+        self.pending_items += request.size
 
     def offer(self, request: Request, cycle: int) -> str:
         """Try to admit an arrival; returns ``"admitted"``, ``"blocked"``
@@ -260,6 +263,7 @@ class AdmissionQueue:
             return "admitted"
         if self.policy == "block":
             self.waiting.append(request)
+            self.waiting_items += request.size
             return "blocked"
         if self.policy == "shed":
             return "shed"
@@ -284,12 +288,14 @@ class AdmissionQueue:
         never be shed by arrival pressure.
         """
         self.pending.insert(0, request)
+        self.pending_items += request.size
 
     def admit_waiting(self, cycle: int) -> list[Request]:
         """Move blocked arrivals into the queue as capacity frees (FIFO)."""
         admitted: list[Request] = []
         while self.waiting and self._fits(self.waiting[0].size):
             request = self.waiting.popleft()
+            self.waiting_items -= request.size
             self._admit(request, cycle)
             admitted.append(request)
         return admitted
@@ -297,7 +303,21 @@ class AdmissionQueue:
     def remove(self, requests) -> None:
         """Drop dispatched requests from the pending list."""
         chosen = {id(req) for req in requests}
-        self.pending = [req for req in self.pending if id(req) not in chosen]
+        kept = []
+        for req in self.pending:
+            if id(req) in chosen:
+                self.pending_items -= req.size
+            else:
+                kept.append(req)
+        self.pending = kept
+
+    def reset(self, pending=(), waiting=()) -> None:
+        """Replace both lists and recount their items (a purge empties the
+        queue; a restore refills it from a snapshot)."""
+        self.pending = list(pending)
+        self.waiting = deque(waiting)
+        self.pending_items = sum(req.size for req in self.pending)
+        self.waiting_items = sum(req.size for req in self.waiting)
 
     @property
     def drained(self) -> bool:

@@ -273,3 +273,51 @@ def test_daemon_natural_completion_exits_without_shutdown(tmp_path):
     assert report is not None
     assert daemon.server.engine.cycle >= 40  # horizon + drain
     assert daemon.server.engine.active is False
+
+
+BAD_POLICY_BODIES = [
+    {"policy": "nope"},
+    {"policy": ["fifo"]},
+    {"deadline": 50, "retry_timeout": 0},
+    {"policy": "load-aware", "deadline": "soon"},
+    {"policy": "fifo", "retry_timeout": -3},
+    [1, 2],
+    5,
+]
+
+
+@pytest.mark.parametrize("body", BAD_POLICY_BODIES, ids=repr)
+def test_a_rejected_policy_body_changes_nothing_and_serving_goes_on(tmp_path, body):
+    """Every knob is checked before any is applied: a 400 leaves the
+    engine, ``config.json`` and the status exactly as they were."""
+    daemon, _ = _start_daemon(tmp_path, obs=None)
+    config_before = (tmp_path / "config.json").read_text()
+
+    async def scenario():
+        task = asyncio.create_task(daemon.run())
+        await _wait_listening(daemon, task)
+        port = daemon.port
+        _, before = await _request(port, "GET", "/status")
+        status, _ = await _request(port, "POST", "/policy", body)
+        assert status == 400
+        _, after = await _request(port, "GET", "/status")
+        for knob in ("policy", "deadline", "retry_timeout"):
+            assert json.loads(after)[knob] == json.loads(before)[knob]
+        # the engine keeps serving: its clock moves on after the rejection
+        cycle = json.loads(after)["cycle"]
+        for _ in range(500):
+            _, now = await _request(port, "GET", "/status")
+            if json.loads(now)["cycle"] > cycle:
+                break
+            await asyncio.sleep(0.01)
+        assert json.loads(now)["cycle"] > cycle
+        status, _ = await _request(port, "POST", "/shutdown")
+        assert status == 200
+        return await asyncio.wait_for(task, timeout=30)
+
+    assert asyncio.run(scenario()) is not None
+    engine = daemon.server.engine
+    assert (engine.policy.name, engine.deadline, engine.retry_timeout) == (
+        "greedy-pack", None, None,
+    )
+    assert (tmp_path / "config.json").read_text() == config_before
