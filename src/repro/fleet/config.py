@@ -38,8 +38,10 @@ class FleetConfig(JsonConfig):
     (see :meth:`supervise`).
 
     Like :class:`~repro.serve.config.EngineConfig`, construction checks
-    every spec-valued field (the workload, faults, kill specs, and the
-    router, policy, admission and repair names) and raises
+    every spec-valued field (the workload, faults, kill specs, the
+    router, policy, admission and repair names, ``cycles``,
+    ``queue_capacity`` and ``batch_components`` at least 1 and
+    ``arrival_rate`` at least 0) and raises
     :class:`~repro.serve.config.ConfigError` naming the first bad one.
     """
 

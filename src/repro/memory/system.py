@@ -23,7 +23,14 @@ unit-port crossbar with telemetry off, no faults pending and nothing queued:
 there no module ever waits on another, so :meth:`ParallelMemorySystem.access`
 takes the closed form (a module holding ``c`` items is busy ``c * latency``
 cycles) and updates exactly the state the ``issue`` loop, its reference,
-would.
+would.  Its work scales with the modules the access touches, not with
+``M``: an idle latch, cleared by every call that can queue work or fail a
+module (:meth:`~ParallelMemorySystem.submit`, fault edges,
+:meth:`~ParallelMemorySystem.attach_faults`,
+:meth:`~ParallelMemorySystem.load_state`,
+:meth:`~ParallelMemorySystem.reset`), stands in for a scan of every module,
+and only the modules whose port clock may be non-zero are reset.  Module
+queues and fault flags are changed through those calls, not by hand.
 """
 
 from __future__ import annotations
@@ -82,6 +89,12 @@ class ParallelMemorySystem:
         self._unit_port_crossbar = (
             type(self.interconnect) is Crossbar and module_ports == 1
         )
+        #: set when the closed form's standing conditions were last checked
+        #: and held (unit-port crossbar, no fault schedule, nothing queued, no
+        #: module failed); every call that can break them clears it
+        self._idle = False
+        #: indices of the modules whose port clock may be non-zero
+        self._port_dirty = range(self.num_modules)
         #: wall-clock span profiler (see :mod:`repro.obs.perf`): the drain
         #: loops run under a ``drain`` / ``open_loop`` span and count
         #: simulated cycles; the default null profiler is a free no-op
@@ -127,6 +140,7 @@ class ParallelMemorySystem:
         original run) and stepping continues from the cursor.
         """
         schedule.validate_against(self.num_modules)
+        self._idle = False
         self._fault_schedule = schedule
         self._fault_transitions = schedule.transitions()
         self._drop_prob = 0.0
@@ -153,6 +167,7 @@ class ParallelMemorySystem:
 
     def _apply_transition_effect(self, window, starting: bool) -> None:
         """Install one fault edge's effect on the array (no telemetry)."""
+        self._idle = False
         if window.kind == "fail":
             self.modules[window.module].failed = starting
         elif window.kind == "slow":
@@ -257,6 +272,7 @@ class ParallelMemorySystem:
         mapping while modules are down).  Each append is
         :meth:`~repro.memory.module.MemoryModule.enqueue`, inlined.
         """
+        self._idle = False
         if colors is None:
             colors = self.mapping.colors_of(nodes)
         modules = self.modules
@@ -401,6 +417,18 @@ class ParallelMemorySystem:
 
     # -- public API ------------------------------------------------------------
 
+    def _arm_closed_form(self) -> bool:
+        """Check the closed form's standing conditions; on success set the
+        idle latch and count every port clock as possibly non-zero."""
+        if (
+            self._unit_port_crossbar
+            and self._fault_schedule is None
+            and not any(mod.queue or mod.failed for mod in self.modules)
+        ):
+            self._idle = True
+            self._port_dirty = range(self.num_modules)
+        return self._idle
+
     def access(self, nodes: np.ndarray, label: str = "") -> AccessResult:
         """Simulate one parallel access to a set of tree nodes.
 
@@ -409,48 +437,52 @@ class ParallelMemorySystem:
         module serves its ``c`` items back to back from cycle 0, so the
         access costs ``max(c * latency)`` cycles and the loop would run
         ``max((c - 1) * latency + 1)`` of them.  That closed form applies
-        exactly what :meth:`_arrive` + :meth:`_drain` would; everywhere else
-        the cycle loop runs.
+        exactly what :meth:`_arrive` + :meth:`_drain` would, visiting only
+        the modules the access touches and those the previous one left a
+        port clock on; everywhere else the cycle loop runs.
         """
-        if np.size(nodes) == 0:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if not nodes.size:
             raise ValueError("an access needs at least one node")
-        modules = self.modules
         if (
-            self._unit_port_crossbar
-            and self._fault_schedule is None
-            and not self.record_latencies
+            not self.record_latencies
             and not self.recorder.enabled
-            and not any(mod.queue or mod.failed for mod in modules)
+            and (self._idle or self._arm_closed_form())
         ):
-            nodes = np.asarray(nodes, dtype=np.int64)
-            counts = np.bincount(
-                self.mapping.colors_of(nodes), minlength=self.num_modules
-            )
-            cycles = rounds = 0
+            colors = self.mapping.colors_of(nodes)
+            counts = np.bincount(colors, minlength=self.num_modules)
+            per_module = counts.tolist()
+            touched = counts.nonzero()[0].tolist()
+            modules = self.modules
+            cycles = rounds = top = 0
             prof = self.profiler
             with prof.span("drain"):
+                # the loop would start from cleared port clocks
+                for m in self._port_dirty:
+                    modules[m]._port_free = [0]
                 # plain comparisons, not max(): this loop is the access's cost
-                for mod, c in zip(modules, counts.tolist()):
-                    if c:
-                        busy = c * mod.latency
-                        mod.served += c
-                        mod.busy_cycles += busy
-                        if c > mod.max_queue_depth:
-                            mod.max_queue_depth = c
-                        mod._port_free = [busy]  # the last service ends here
-                        if busy > cycles:
-                            cycles = busy
-                        if busy - mod.latency >= rounds:
-                            rounds = busy - mod.latency + 1
-                    else:
-                        mod._port_free = [0]
+                for m in touched:
+                    mod = modules[m]
+                    c = per_module[m]
+                    busy = c * mod.latency
+                    last = busy - mod.latency  # the last service starts here
+                    mod.served += c
+                    mod.busy_cycles += busy
+                    if c > mod.max_queue_depth:
+                        mod.max_queue_depth = c
+                    mod._port_free = [busy]  # and ends here
+                    if c > top:
+                        top = c
+                    if busy > cycles:
+                        cycles = busy
+                    if last >= rounds:
+                        rounds = last + 1
+            self._port_dirty = touched
             if prof.enabled:
                 prof.count("cycles", rounds)
             self.clock += rounds
             self._rr_start = (self._rr_start + 1) % self.num_modules
-            return AccessResult(
-                cycles, int(counts.max() - 1), counts, int(nodes.size), label
-            )
+            return AccessResult(cycles, top - 1, counts, int(nodes.size), label)
         queued = self._arrive(nodes, label)
         cycles = self._drain()
         rec = self.recorder
@@ -583,6 +615,7 @@ class ParallelMemorySystem:
         :func:`~repro.memory.faults.apply_faults`) survive reuse of the
         same system.
         """
+        self._idle = False
         for mod in self.modules:
             mod.reset_stats()
             mod.failed = False
@@ -657,6 +690,7 @@ class ParallelMemorySystem:
                 f"snapshot has {len(module_states)} modules, "
                 f"system has {self.num_modules}"
             )
+        self._idle = False
         self.clock = int(state["clock"])
         self._rr_start = int(state["rr_start"])
         self._access_index = int(state["access_index"])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from contextlib import contextmanager
@@ -122,7 +123,11 @@ class JsonConfig:
 
     def _check_specs(self, tree, num_modules: int) -> None:
         """The workload against ``tree``, the faults against
-        ``num_modules``, and the policy, admission and repair names."""
+        ``num_modules``, the policy, admission and repair names, and the
+        run length, arrival rate, queue capacity and batch bound."""
+        self._check_at_least(
+            cycles=1, arrival_rate=0, queue_capacity=1, batch_components=1
+        )
         with checking("workload", self.workload):
             TemplateMix.parse(tree, self.workload)
         if self.faults:
@@ -131,6 +136,14 @@ class JsonConfig:
         self._check_names(
             policy=POLICIES, admission=ADMISSION_POLICIES, repair=REPAIR_MODES
         )
+
+    def _check_at_least(self, **bounds) -> None:
+        """Each named numeric field is finite and at least its bound."""
+        for field, low in bounds.items():
+            value = getattr(self, field)
+            if not low <= value < math.inf:
+                reason = f"must be >= {low}" if value < low else "must be finite"
+                raise ConfigError(field, value, reason)
 
     def _check_names(self, **options) -> None:
         """Each named field holds one of its options."""
@@ -195,8 +208,10 @@ class EngineConfig(JsonConfig):
 
     Construction checks every spec-valued field (the mapping file, or the
     levels and modules COLOR is built over; the workload against the tree,
-    the faults against the modules; and the
-    policy, traffic, admission and repair names) and raises
+    the faults against the modules; the
+    policy, traffic, admission and repair names; and ``cycles``,
+    ``clients``, ``queue_capacity`` and ``batch_components`` at least 1,
+    ``arrival_rate`` at least 0) and raises
     :class:`ConfigError` naming the first bad one, so a bad spec fails
     here rather than deep inside :meth:`build`.
     """
@@ -231,6 +246,7 @@ class EngineConfig(JsonConfig):
         mapping = self._mapping()
         self._check_specs(mapping.tree, mapping.num_modules)
         self._check_names(traffic=TRAFFIC)
+        self._check_at_least(clients=1)
 
     def _mapping(self) -> TreeMapping:
         """The mapping the run serves through: the saved ``mapping`` file,

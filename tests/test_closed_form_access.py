@@ -7,7 +7,9 @@ paper's closed form (a module holding ``c`` items is busy ``c * latency``
 cycles).  The reference here is the same system built with
 ``record_latencies=True``, which always runs the loop and leaves
 ``state_dict()`` unchanged.  The second half pins that the loop still runs
-whenever any one of the conditions fails.
+whenever any one of the conditions fails, and the last part that it does so
+too when a condition starts failing after a closed-form access (the idle
+latch goes stale), over interleaved runs of both kinds of access.
 """
 
 from contextlib import contextmanager
@@ -264,3 +266,146 @@ class TestLoopStillRuns:
         system.modules[4].failed = True
         nodes = self.NODES[self.NODES % 5 != 4]  # nothing waits on module 4
         assert self._steps(system, nodes) > 0
+
+
+class TestIdleLatch:
+    """After a closed-form access the system trusts its idle latch instead of
+    scanning every module.  Each way the latch can go stale sends the next
+    access back to the cycle loop."""
+
+    NODES = np.arange(30, dtype=np.int64)
+
+    def _warm(self, system):
+        """One closed-form access, so the latch is set."""
+        with _stepped() as stepped:
+            system.access(self.NODES)
+        assert not stepped
+        assert system._idle
+
+    def _steps(self, system):
+        with _stepped() as stepped:
+            system.access(self.NODES)
+        return len(stepped)
+
+    def test_latch_holds_across_closed_form_accesses(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        assert self._steps(system) == 0
+
+    def test_arrive(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        system._arrive(np.array([0, 5], dtype=np.int64), "queued")
+        assert self._steps(system) > 0
+        assert sum(mod.served for mod in system.modules) == 2 * self.NODES.size + 2
+
+    def test_submit(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        system.submit(np.array([3], dtype=np.int64), key="late")
+        assert self._steps(system) > 0
+        assert not any(mod.queue for mod in system.modules)
+
+    def test_load_state_with_queued_items(self):
+        source = ParallelMemorySystem(_mapping("modulo", 5))
+        source._arrive(np.array([1, 6, 11], dtype=np.int64), "queued")
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        system.load_state(source.state_dict())
+        assert self._steps(system) > 0
+        assert system.modules[1].served == self.NODES.size // 5 + 3
+
+    def test_load_state_with_a_failed_module(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        state = system.state_dict()
+        state["modules"][4]["failed"] = True
+        system.load_state(state)
+        with _stepped() as stepped:
+            system.access(self.NODES[self.NODES % 5 != 4])
+        assert stepped
+
+    def test_attach_faults(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        system.attach_faults(FaultSchedule.parse("slow=1:2@1000:2000,seed=1"))
+        assert self._steps(system) > 0
+
+    def test_record_latencies(self):
+        system = ParallelMemorySystem(_mapping("modulo", 5))
+        self._warm(system)
+        system.record_latencies = True
+        assert self._steps(system) > 0
+        assert system.last_latencies.size == self.NODES.size
+        system.record_latencies = False
+        assert self._steps(system) == 0
+
+    def test_enabled_recorder(self):
+        recorder = EventRecorder()
+        recorder.enabled = False
+        system = ParallelMemorySystem(_mapping("modulo", 5), recorder=recorder)
+        self._warm(system)
+        assert not recorder.events
+        recorder.enabled = True
+        assert self._steps(system) > 0
+        assert recorder.events
+
+
+# one step of an interleaved run: a plain access, work queued ahead of the
+# next access, an access with ``record_latencies`` on, a state round trip or
+# a reset
+latch_ops = st.one_of(
+    st.tuples(st.just("access"), access_specs),
+    st.tuples(
+        st.just("queue"),
+        st.lists(st.integers(0, TREE.num_nodes - 1), min_size=1, max_size=12),
+    ),
+    st.tuples(st.just("latencies"), access_specs),
+    st.tuples(st.just("round-trip")),
+    st.tuples(st.just("reset")),
+)
+
+
+class TestLatchInterleaved:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(MAPPINGS)),
+        M=st.integers(min_value=3, max_value=31),
+        latencies=st.lists(st.integers(1, 3), min_size=31, max_size=31),
+        ops=st.lists(latch_ops, min_size=1, max_size=14),
+    )
+    def test_state_matches_the_loop_after_every_step(self, kind, M, latencies, ops):
+        """Closed-form accesses interleaved with ones the loop must serve
+        (queued work, ``record_latencies``, ``load_state``, ``reset``)
+        leave the loop reference's whole state after every step, port
+        clocks included, and a plain access with nothing queued never
+        steps a module."""
+        mapping = _mapping(kind, M)
+        fast, ref = _pair(mapping, latencies[:M])
+        previous = None
+        for i, op in enumerate(ops):
+            kind_of = op[0]
+            if kind_of == "queue":
+                queued = np.array(op[1], dtype=np.int64)
+                for system in (fast, ref):
+                    system._arrive(queued, "queued")
+            elif kind_of == "round-trip":
+                for system in (fast, ref):
+                    system.load_state(system.state_dict())
+            elif kind_of == "reset":
+                for system in (fast, ref):
+                    system.reset()
+            else:
+                nodes = _nodes(op[1], mapping, previous)
+                idle = not any(mod.queue for mod in fast.modules)
+                fast.record_latencies = kind_of == "latencies"
+                with _stepped() as stepped:
+                    fast_result = fast.access(nodes, label=f"a{i}")
+                fast.record_latencies = False
+                ref_result = ref.access(nodes, label=f"a{i}")
+                assert _result(fast_result) == _result(ref_result)
+                if kind_of == "access" and idle:
+                    assert not stepped
+                previous = nodes
+            assert fast.state_dict() == ref.state_dict()
+            assert fast.module_stats() == ref.module_stats()

@@ -171,6 +171,12 @@ BAD_SPECS = [
     (EngineConfig, "levels", 0, "num_levels must be >= 1"),
     (EngineConfig, "mapping", "no-such-mapping.npz", "No such file"),
     (EngineConfig, "modules", 2, "COLOR needs M >= 3 modules"),
+    (EngineConfig, "clients", 0, "must be >= 1"),
+    (EngineConfig, "cycles", 0, "must be >= 1"),
+    (EngineConfig, "queue_capacity", 0, "must be >= 1"),
+    (EngineConfig, "batch_components", 0, "must be >= 1"),
+    (EngineConfig, "arrival_rate", -1.0, "must be >= 0"),
+    (EngineConfig, "arrival_rate", float("inf"), "must be finite"),
     (FleetConfig, "workload", "subtree:7=nan", "weight must be finite"),
     (FleetConfig, "faults", "fail=zz", "bad fault term"),
     (FleetConfig, "policy", "nope", "pick from"),
@@ -178,6 +184,10 @@ BAD_SPECS = [
     (FleetConfig, "kill_shard_at", ["9@10"], "fleet has 4 shards"),
     (FleetConfig, "kill_shard_at", ["1@x"], "bad kill spec"),
     (FleetConfig, "kill_shard_at", ["1@5", "1@6"], "killed twice"),
+    (FleetConfig, "cycles", 0, "must be >= 1"),
+    (FleetConfig, "queue_capacity", 0, "must be >= 1"),
+    (FleetConfig, "batch_components", 0, "must be >= 1"),
+    (FleetConfig, "arrival_rate", -1.0, "must be >= 0"),
 ]
 
 
@@ -199,17 +209,27 @@ def test_a_bad_spec_value_is_a_config_error_naming_the_field(cls, field, value, 
         dataclasses.replace(cls(), **{field: value})
 
 
-#: hand edits that used to crash `pmtree recover` or blame the snapshot, plus
-#: the other spec fields
+#: hand edits that used to crash `pmtree recover` (a ZeroDivisionError or
+#: ValueError traceback for the numeric ones) or blame the snapshot, plus the
+#: other spec fields
 RECOVER_ROWS = [
     ("--state-dir", "workload", "subtree:7=nan"),
     ("--state-dir", "faults", "fail=zz"),
     ("--state-dir", "policy", "nope"),
     ("--state-dir", "traffic", "nope"),
     ("--state-dir", "admission", "nope"),
+    ("--state-dir", "clients", 0),
+    ("--state-dir", "cycles", 0),
+    ("--state-dir", "queue_capacity", 0),
+    ("--state-dir", "batch_components", 0),
+    ("--state-dir", "arrival_rate", -1),
     ("--fleet", "router", "nope"),
     ("--fleet", "kill_shard_at", ["7@300"]),
     ("--fleet", "workload", "subtree:7=nan"),
+    ("--fleet", "cycles", 0),
+    ("--fleet", "queue_capacity", 0),
+    ("--fleet", "batch_components", 0),
+    ("--fleet", "arrival_rate", -1),
 ]
 
 
