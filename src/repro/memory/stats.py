@@ -32,7 +32,7 @@ def latency_summary(latencies) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AccessResult:
     """Outcome of one parallel access (one template instance).
 

@@ -18,14 +18,19 @@ Two replay modes:
 Every mode — and open-loop replay and the serving engine — queues work
 through :meth:`ParallelMemorySystem.submit` and serves it one cycle at a
 time through :meth:`ParallelMemorySystem.issue`, the single statement of
-the cost model's service rule.  The one exception is a barrier access on a
-unit-port crossbar with telemetry off, no faults pending and nothing queued:
-there no module ever waits on another, so :meth:`ParallelMemorySystem.access`
-takes the closed form (a module holding ``c`` items is busy ``c * latency``
-cycles) and updates exactly the state the ``issue`` loop, its reference,
-would.  Its work scales with the modules the access touches, not with
-``M``: an idle latch, cleared by every call that can queue work or fail a
-module (:meth:`~ParallelMemorySystem.submit`, fault edges,
+the cost model's service rule.  The one exception is a barrier access with
+one port per module on a plain :class:`Crossbar`, :class:`SharedBus` or
+:class:`MultiBus`, telemetry off, no faults pending and nothing queued:
+there only the interconnect's issue limit makes one module wait on another,
+so the access is a function of its per-module counts and
+:meth:`ParallelMemorySystem.access` takes a fast path that updates exactly
+the state the ``issue`` loop, its reference, would.  When the access touches
+no more modules than the limit it is the closed form (a module holding ``c``
+items is busy ``c * latency`` cycles); otherwise the loop's round robin runs
+on plain counts, with no queue, tag or module ``step``.  Its work scales with
+the modules the access touches (and the cycles that round robin runs), not
+with ``M``: an idle latch, cleared by every call that can queue work or fail
+a module (:meth:`~ParallelMemorySystem.submit`, fault edges,
 :meth:`~ParallelMemorySystem.attach_faults`,
 :meth:`~ParallelMemorySystem.load_state`,
 :meth:`~ParallelMemorySystem.reset`), stands in for a scan of every module,
@@ -35,13 +40,14 @@ queues and fault flags are changed through those calls, not by hand.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 
 import numpy as np
 
 from repro.core.mapping import TreeMapping
-from repro.memory.interconnect import Crossbar, Interconnect
+from repro.memory.interconnect import Crossbar, Interconnect, MultiBus, SharedBus
 from repro.memory.module import MemoryModule
 from repro.memory.stats import AccessResult, TraceStats
 from repro.memory.trace import AccessTrace
@@ -84,14 +90,18 @@ class ParallelMemorySystem:
             for i in range(self.num_modules)
         ]
         self.record_latencies = record_latencies
-        # with one port per module a crossbar's issue limit of M never binds,
-        # so a barrier access can take the closed form (see ``access``)
-        self._unit_port_crossbar = (
-            type(self.interconnect) is Crossbar and module_ports == 1
+        # with one port per module only the issue limit makes one module wait
+        # on another, so a barrier access that starts idle is a function of
+        # its per-module counts (see ``access``)
+        self._counts_only = (
+            type(self.interconnect) in (Crossbar, SharedBus, MultiBus)
+            and module_ports == 1
         )
-        #: set when the closed form's standing conditions were last checked
-        #: and held (unit-port crossbar, no fault schedule, nothing queued, no
-        #: module failed); every call that can break them clears it
+        self._issue_limit = self.interconnect.issue_limit(self.num_modules)
+        #: set when the fast path's standing conditions were last checked and
+        #: held (unit ports on a plain crossbar or bus, no fault schedule,
+        #: nothing queued, no module failed); every call that can break them
+        #: clears it
         self._idle = False
         #: indices of the modules whose port clock may be non-zero
         self._port_dirty = range(self.num_modules)
@@ -417,11 +427,11 @@ class ParallelMemorySystem:
 
     # -- public API ------------------------------------------------------------
 
-    def _arm_closed_form(self) -> bool:
-        """Check the closed form's standing conditions; on success set the
+    def _arm_fast_path(self) -> bool:
+        """Check the fast path's standing conditions; on success set the
         idle latch and count every port clock as possibly non-zero."""
         if (
-            self._unit_port_crossbar
+            self._counts_only
             and self._fault_schedule is None
             and not any(mod.queue or mod.failed for mod in self.modules)
         ):
@@ -429,17 +439,92 @@ class ParallelMemorySystem:
             self._port_dirty = range(self.num_modules)
         return self._idle
 
+    def _drain_counts(self, touched: list[int], left: list[int]) -> tuple[int, int, int]:
+        """The ``issue`` loop on per-module counts alone, for an idle access
+        touching more modules than the interconnect issues per cycle.
+
+        ``left`` (length ``M``, consumed) holds each module's item count and
+        ``touched`` the modules with items, ascending.  Cycle ``t`` scans the
+        modules still holding items from ``(_rr_start + t) % M`` on and
+        issues one item to each whose port is free, up to the issue limit;
+        once no more modules hold items than the limit allows, it never
+        binds again and each module's remaining items go back to back.
+        Updates the touched modules' counters and port clocks; returns the
+        latest completion, the cycles the loop runs and the largest count.
+        """
+        num_modules = self.num_modules
+        limit = self._issue_limit
+        modules = self.modules
+        latency = [0] * num_modules
+        free = [0] * num_modules  # each port's next free cycle
+        top = 0
+        for m in touched:
+            mod = modules[m]
+            c = left[m]
+            latency[m] = mod.latency
+            mod.served += c
+            mod.busy_cycles += c * mod.latency
+            if c > mod.max_queue_depth:
+                mod.max_queue_depth = c
+            if c > top:
+                top = c
+        active = touched
+        base = self._rr_start
+        t = 0
+        while len(active) > limit:
+            first = bisect_left(active, (base + t) % num_modules)
+            issued = 0
+            emptied = False
+            for m in active[first:] + active[:first]:
+                if free[m] <= t:
+                    free[m] = t + latency[m]
+                    left[m] -= 1
+                    if not left[m]:
+                        emptied = True
+                    issued += 1
+                    if issued == limit:
+                        break
+            if emptied:
+                active = [m for m in active if left[m]]
+            # a cycle that issues nothing waits for the first port to free
+            t = t + 1 if issued else min(free[m] for m in active)
+        rounds = t
+        for m in active:
+            lat = latency[m]
+            end = (free[m] if free[m] > t else t) + left[m] * lat
+            free[m] = end
+            if end - lat >= rounds:
+                rounds = end - lat + 1
+        cycles = 0
+        for m in touched:
+            end = free[m]
+            modules[m]._port_free = [end]
+            if end > cycles:
+                cycles = end
+        return cycles, rounds, top
+
     def access(self, nodes: np.ndarray, label: str = "") -> AccessResult:
         """Simulate one parallel access to a set of tree nodes.
 
-        On a unit-port crossbar with nothing queued, no module failed, no
-        fault schedule, the recorder off and ``record_latencies`` off, each
-        module serves its ``c`` items back to back from cycle 0, so the
-        access costs ``max(c * latency)`` cycles and the loop would run
-        ``max((c - 1) * latency + 1)`` of them.  That closed form applies
-        exactly what :meth:`_arrive` + :meth:`_drain` would, visiting only
-        the modules the access touches and those the previous one left a
-        port clock on; everywhere else the cycle loop runs.
+        With one port per module on a plain :class:`Crossbar`,
+        :class:`SharedBus` or :class:`MultiBus`, nothing queued, no module
+        failed, no fault schedule, the recorder off and ``record_latencies``
+        off, the access depends only on how many of its items each module
+        holds, and one fast path with two branches applies exactly what
+        :meth:`_arrive` + :meth:`_drain` would:
+
+        * at most ``issue_limit`` modules touched (always, on a crossbar):
+          the limit never binds, each module serves its ``c`` items back to
+          back from cycle 0, so the access costs ``max(c * latency)`` cycles
+          and the loop would run ``max((c - 1) * latency + 1)`` of them;
+        * more modules touched: :meth:`_drain_counts` replays the loop's
+          round-robin choices on plain counts, with no queue, tag or
+          :meth:`~repro.memory.module.MemoryModule.step` call.
+
+        Both visit only the modules the access touches and those the
+        previous one left a port clock on.  Everywhere else (more ports, an
+        interconnect subclass, a fault schedule, telemetry) the cycle loop
+        runs.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if not nodes.size:
@@ -447,36 +532,39 @@ class ParallelMemorySystem:
         if (
             not self.record_latencies
             and not self.recorder.enabled
-            and (self._idle or self._arm_closed_form())
+            and (self._idle or self._arm_fast_path())
         ):
             colors = self.mapping.colors_of(nodes)
             counts = np.bincount(colors, minlength=self.num_modules)
             per_module = counts.tolist()
             touched = counts.nonzero()[0].tolist()
             modules = self.modules
-            cycles = rounds = top = 0
             prof = self.profiler
             with prof.span("drain"):
                 # the loop would start from cleared port clocks
                 for m in self._port_dirty:
                     modules[m]._port_free = [0]
-                # plain comparisons, not max(): this loop is the access's cost
-                for m in touched:
-                    mod = modules[m]
-                    c = per_module[m]
-                    busy = c * mod.latency
-                    last = busy - mod.latency  # the last service starts here
-                    mod.served += c
-                    mod.busy_cycles += busy
-                    if c > mod.max_queue_depth:
-                        mod.max_queue_depth = c
-                    mod._port_free = [busy]  # and ends here
-                    if c > top:
-                        top = c
-                    if busy > cycles:
-                        cycles = busy
-                    if last >= rounds:
-                        rounds = last + 1
+                if len(touched) > self._issue_limit:
+                    cycles, rounds, top = self._drain_counts(touched, per_module)
+                else:
+                    cycles = rounds = top = 0
+                    # plain comparisons, not max(): this loop is the access's cost
+                    for m in touched:
+                        mod = modules[m]
+                        c = per_module[m]
+                        busy = c * mod.latency
+                        last = busy - mod.latency  # the last service starts here
+                        mod.served += c
+                        mod.busy_cycles += busy
+                        if c > mod.max_queue_depth:
+                            mod.max_queue_depth = c
+                        mod._port_free = [busy]  # and ends here
+                        if c > top:
+                            top = c
+                        if busy > cycles:
+                            cycles = busy
+                        if last >= rounds:
+                            rounds = last + 1
             self._port_dirty = touched
             if prof.enabled:
                 prof.count("cycles", rounds)

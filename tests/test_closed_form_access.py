@@ -1,14 +1,17 @@
-"""The barrier access's closed form equals the cycle loop it short-cuts.
+"""The barrier access's fast path equals the cycle loop it short-cuts.
 
-On a unit-port crossbar with nothing queued, no failed module, no fault
-schedule, the recorder off and ``record_latencies`` off,
-:meth:`ParallelMemorySystem.access` skips the ``issue`` loop and applies the
-paper's closed form (a module holding ``c`` items is busy ``c * latency``
-cycles).  The reference here is the same system built with
+With one port per module on a plain ``Crossbar``, ``SharedBus`` or
+``MultiBus``, nothing queued, no failed module, no fault schedule, the
+recorder off and ``record_latencies`` off,
+:meth:`ParallelMemorySystem.access` skips the ``issue`` loop.  When the
+access touches no more modules than the interconnect issues per cycle it
+applies the paper's closed form (a module holding ``c`` items is busy
+``c * latency`` cycles); otherwise it replays the loop's round-robin choices
+on per-module counts.  The reference here is the same system built with
 ``record_latencies=True``, which always runs the loop and leaves
 ``state_dict()`` unchanged.  The second half pins that the loop still runs
 whenever any one of the conditions fails, and the last part that it does so
-too when a condition starts failing after a closed-form access (the idle
+too when a condition starts failing after a fast-path access (the idle
 latch goes stale), over interleaved runs of both kinds of access.
 """
 
@@ -76,11 +79,12 @@ def _result(result):
     )
 
 
-def _pair(mapping, latencies=()):
-    """A closed-form system and its loop reference, with profilers."""
+def _pair(mapping, latencies=(), interconnect=None):
+    """A fast-path system and its loop reference, with profilers."""
     systems = [
         ParallelMemorySystem(
             mapping,
+            interconnect=interconnect,
             record_latencies=reference,
             profiler=PerfProfiler(calibrate=False),
         )
@@ -92,10 +96,35 @@ def _pair(mapping, latencies=()):
     return systems
 
 
+def _profile(system):
+    """The profiler's ``drain`` span calls and its counters (``cycles``)."""
+    prof = system.profiler
+    drain = prof.phase_table().get("drain", {})
+    return drain.get("calls"), getattr(prof, "counters", None)
+
+
 def _assert_same(fast, ref, fast_result, ref_result):
     assert _result(fast_result) == _result(ref_result)
     assert fast.state_dict() == ref.state_dict()
     assert fast.module_stats() == ref.module_stats()
+    assert _profile(fast) == _profile(ref)
+
+
+def _interconnects(M):
+    """A crossbar, a shared bus or ``b`` buses for ``b`` in ``1..M+1`` (from
+    ``b = M`` on the limit binds no more than a crossbar's)."""
+    return st.one_of(
+        st.builds(Crossbar),
+        st.builds(SharedBus),
+        st.integers(1, M + 1).map(MultiBus),
+    )
+
+
+def _with_interconnect(min_M, max_M):
+    """``(M, interconnect)`` pairs."""
+    return st.integers(min_value=min_M, max_value=max_M).flatmap(
+        lambda M: st.tuples(st.just(M), _interconnects(M))
+    )
 
 
 # one access: explicit nodes (repeats allowed), a single node, every node on
@@ -135,13 +164,14 @@ class TestClosedFormMatchesLoop:
     @settings(max_examples=250, deadline=None)
     @given(
         kind=st.sampled_from(sorted(MAPPINGS)),
-        M=st.integers(min_value=3, max_value=16),
+        shape=_with_interconnect(3, 16),
         latencies=st.lists(st.integers(1, 3), min_size=16, max_size=16),
         specs=st.lists(access_specs, min_size=1, max_size=10),
     )
-    def test_every_access_matches(self, kind, M, latencies, specs):
+    def test_every_access_matches(self, kind, shape, latencies, specs):
+        M, interconnect = shape
         mapping = _mapping(kind, M)
-        fast, ref = _pair(mapping, latencies[:M])
+        fast, ref = _pair(mapping, latencies[:M], interconnect)
         previous = None
         with _stepped() as stepped:
             for i, spec in enumerate(specs):
@@ -159,10 +189,19 @@ class TestClosedFormMatchesLoop:
         )
         assert fast.profiler.counters == ref.profiler.counters
 
-    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
-    def test_heap_and_range_traces(self, kind):
-        mapping = _mapping(kind, 15)
-        fast, ref = _pair(mapping, [1, 2, 3] * 5)
+    @pytest.mark.parametrize(
+        "kind, M, interconnect, latencies",
+        [
+            (kind, 15, Crossbar(), [1, 2, 3] * 5)
+            for kind in sorted(MAPPINGS)
+        ]
+        # the e2e ``replay_bus`` shape: most accesses touch more than 8 modules
+        + [("label-tree", 31, MultiBus(8), [2] * 31)],
+        ids=[*sorted(MAPPINGS), "replay-bus"],
+    )
+    def test_heap_and_range_traces(self, kind, M, interconnect, latencies):
+        mapping = _mapping(kind, M)
+        fast, ref = _pair(mapping, latencies, interconnect)
         trace = heap_workload(TREE, ops=60, seed=3)
         trace.extend(range_query_workload(TREE, queries=20, seed=3))
         for label, nodes in trace:
@@ -172,7 +211,7 @@ class TestClosedFormMatchesLoop:
         fast_stats, ref_stats = fast.run_trace(trace), ref.run_trace(trace)
         assert fast_stats.per_label_cycles == ref_stats.per_label_cycles
         assert fast.state_dict() == ref.state_dict()
-        assert fast.profiler.counters == ref.profiler.counters
+        assert _profile(fast) == _profile(ref)
 
     def test_static_slow_fault(self):
         """``apply_faults`` installs a base latency; the closed form holds."""
@@ -204,7 +243,7 @@ class TestClosedFormMatchesLoop:
 
 
 class TestLoopStillRuns:
-    """Each condition of the closed form, failed alone, sends ``access`` to
+    """Each condition of the fast path, failed alone, sends ``access`` to
     the cycle loop (``MemoryModule.step`` is called)."""
 
     NODES = np.arange(30, dtype=np.int64)
@@ -229,15 +268,41 @@ class TestLoopStillRuns:
         "interconnect", [SharedBus(), MultiBus(3)], ids=["bus", "multibus"]
     )
     def test_narrow_interconnect(self, interconnect):
-        system = ParallelMemorySystem(_mapping("modulo", 5), interconnect=interconnect)
+        """A narrow interconnect takes the fast path too and matches the
+        loop: the first two accesses touch all 5 modules, more than the
+        limit, so the round robin runs on counts; the last touches one."""
+        fast, ref = _pair(_mapping("modulo", 5), [2, 1, 3, 1, 1], interconnect)
+        for nodes in (self.NODES, self.NODES[:7], self.NODES[3:4]):
+            with _stepped() as stepped:
+                fast_result = fast.access(nodes)
+            assert not stepped
+            _assert_same(fast, ref, fast_result, ref.access(nodes))
+
+    def test_two_port_multibus(self):
+        system = ParallelMemorySystem(
+            _mapping("modulo", 5), interconnect=MultiBus(3), module_ports=2
+        )
         assert self._steps(system) > 0
+        assert sum(mod.served for mod in system.modules) == self.NODES.size
 
     def test_crossbar_subclass(self):
+        """A subclass of any of the three may change its issue limit, so it
+        keeps the loop."""
+
         class WideCrossbar(Crossbar):
             pass
 
-        system = ParallelMemorySystem(_mapping("modulo", 5), interconnect=WideCrossbar())
-        assert self._steps(system) > 0
+        class WideBus(SharedBus):
+            pass
+
+        class WideMultiBus(MultiBus):
+            pass
+
+        for interconnect in (WideCrossbar(), WideBus(), WideMultiBus(3)):
+            system = ParallelMemorySystem(
+                _mapping("modulo", 5), interconnect=interconnect
+            )
+            assert self._steps(system) > 0
 
     def test_attached_schedule(self):
         system = ParallelMemorySystem(_mapping("modulo", 5))
@@ -370,18 +435,19 @@ class TestLatchInterleaved:
     @settings(max_examples=200, deadline=None)
     @given(
         kind=st.sampled_from(sorted(MAPPINGS)),
-        M=st.integers(min_value=3, max_value=31),
+        shape=_with_interconnect(3, 31),
         latencies=st.lists(st.integers(1, 3), min_size=31, max_size=31),
         ops=st.lists(latch_ops, min_size=1, max_size=14),
     )
-    def test_state_matches_the_loop_after_every_step(self, kind, M, latencies, ops):
-        """Closed-form accesses interleaved with ones the loop must serve
+    def test_state_matches_the_loop_after_every_step(self, kind, shape, latencies, ops):
+        """Fast-path accesses interleaved with ones the loop must serve
         (queued work, ``record_latencies``, ``load_state``, ``reset``)
-        leave the loop reference's whole state after every step, port
-        clocks included, and a plain access with nothing queued never
-        steps a module."""
+        leave the loop reference's whole state and profiler counters after
+        every step, port clocks included, and a plain access with nothing
+        queued never steps a module."""
+        M, interconnect = shape
         mapping = _mapping(kind, M)
-        fast, ref = _pair(mapping, latencies[:M])
+        fast, ref = _pair(mapping, latencies[:M], interconnect)
         previous = None
         for i, op in enumerate(ops):
             kind_of = op[0]
@@ -409,3 +475,4 @@ class TestLatchInterleaved:
                 previous = nodes
             assert fast.state_dict() == ref.state_dict()
             assert fast.module_stats() == ref.module_stats()
+            assert _profile(fast) == _profile(ref)
